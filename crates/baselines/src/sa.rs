@@ -43,9 +43,10 @@ impl SaConfig {
 
 /// Runs simulated annealing from a uniformly random start.
 ///
-/// Uses narrow (`i32`) Δ accumulators when the instance's Δ bound
-/// permits, exactly like the virtual devices; the walk is identical
-/// either way.
+/// Uses narrow (`i32`) Δ accumulators, exactly like the virtual
+/// devices: every constructible problem's Δ bound fits them (see
+/// [`qubo::MAX_BITS`]). The walk is identical at `i64`, which the tests
+/// keep as the reference.
 ///
 /// # Panics
 /// Panics if `steps == 0` or temperatures are non-positive.
@@ -56,11 +57,7 @@ pub fn solve(q: &Qubo, cfg: &SaConfig) -> BaselineResult {
         cfg.t_initial > 0.0 && cfg.t_final > 0.0,
         "temperatures must be positive"
     );
-    if DeltaTracker::<i32>::fits(q) {
-        solve_width::<i32>(q, cfg)
-    } else {
-        solve_width::<i64>(q, cfg)
-    }
+    solve_width::<i32>(q, cfg)
 }
 
 fn solve_width<A: DeltaAcc>(q: &Qubo, cfg: &SaConfig) -> BaselineResult {

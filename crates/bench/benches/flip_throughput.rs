@@ -12,10 +12,9 @@
 //! * `fused_i32` — the fused kernel with narrow accumulators, pinned to
 //!   the scalar arm (`FlipKernel::Scalar`) so the row keeps measuring
 //!   the pre-SIMD baseline.
-//! * `simd` — the runtime-dispatched lane-wise kernel
-//!   ([`FlipKernel::detect`]: the AVX-512 mask-register arm where the
-//!   CPU supports it, else the portable lane arm on builds that already
-//!   target AVX2, else the AVX2 intrinsic arm, else portable lanes).
+//! * `simd` — the runtime-dispatched kernel ([`FlipKernel::detect`]:
+//!   the AVX-512 mask-register arm where the CPU supports it, else the
+//!   scalar arm, which makes this row equal `fused_i32`).
 //!
 //! After measuring, `main` writes the means and speedups to
 //! `BENCH_flip.json` at the repo root (override with `BENCH_FLIP_OUT`).

@@ -150,8 +150,21 @@ mod tests {
         let mut cfg = AbsConfig::small();
         cfg.machine.device.blocks_override = Some(4);
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::new().panic_block(0, 2, 1)));
-        cfg.stop = StopCondition::flips(20_000);
-        let r = Abs::new(cfg).unwrap().solve(&q).unwrap();
+        // Wait for the injected death itself (under a generous stop),
+        // not for a flip budget that a loaded host can finish first.
+        cfg.stop = StopCondition::timeout(std::time::Duration::from_secs(60));
+        let mut session = abs::AbsSession::start(cfg, &q).unwrap();
+        while session.poll().unwrap() == abs::SessionStatus::Running {
+            if session.total_flips() >= 20_000
+                && session
+                    .metrics_snapshot()
+                    .counter_total("abs_dead_blocks_total")
+                    == 1
+            {
+                break;
+            }
+        }
+        let r = session.stop().unwrap();
         let json = to_json("f", &q, &r).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["degraded"], true);

@@ -1107,9 +1107,15 @@ mod tests {
         let mut cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
         cfg.checkpoint.out = Some(path.clone());
         let mut session = AbsSession::start(cfg.clone(), &q).unwrap();
-        // Poll until some work happened, then checkpoint and abandon the
-        // session (drop joins the machine — a graceful "crash").
-        while session.total_flips() < 5_000 {
+        // Poll until some work happened and all 8 blocks have registered
+        // (on a loaded host 5 000 flips can finish before the second
+        // worker starts, and the checkpoint would then carry 4 units),
+        // then checkpoint and abandon the session (drop joins the
+        // machine — a graceful "crash").
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while (session.total_flips() < 5_000 || session.total_units() < 8)
+            && Instant::now() < deadline
+        {
             session.poll().unwrap();
         }
         session.checkpoint_now().unwrap();
@@ -1122,6 +1128,7 @@ mod tests {
             // Quiesce consistency: the dense invariant holds on the
             // checkpointed baseline itself.
             let units: u64 = ckpt.devices.iter().map(|b| b.units).sum();
+            assert_eq!(units, 8, "every block registered before the checkpoint");
             let evaluated: u64 = ckpt.devices.iter().map(|b| b.evaluated).sum();
             assert_eq!(evaluated, (base + units) * 49);
             base

@@ -100,6 +100,26 @@ mod tests {
             .expect("solve")
     }
 
+    /// Polls a session until at least `min_flips` flips have run and
+    /// `fired` holds on its metrics, then stops it. Fault tests use this
+    /// to wait for the injected fault's own effect (under a generous
+    /// wall-clock stop in `cfg`) instead of hoping a fixed flip budget
+    /// outlasts it on a loaded host.
+    fn solve_until(
+        cfg: AbsConfig,
+        q: &Qubo,
+        min_flips: u64,
+        fired: impl Fn(&crate::MetricsSnapshot) -> bool,
+    ) -> SolveResult {
+        let mut session = crate::AbsSession::start(cfg, q).expect("start");
+        while session.poll().expect("poll") == crate::SessionStatus::Running {
+            if session.total_flips() >= min_flips && fired(&session.metrics_snapshot()) {
+                break;
+            }
+        }
+        session.stop().expect("stop")
+    }
+
     #[test]
     fn finds_exact_optimum_of_small_problem() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -320,8 +340,10 @@ mod tests {
         let mut cfg = AbsConfig::small();
         cfg.machine.device.blocks_override = Some(4);
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::new().panic_block(0, 1, 2)));
-        cfg.stop = StopCondition::flips(30_000);
-        let r = solve(cfg, &q);
+        cfg.stop = StopCondition::timeout(Duration::from_secs(60));
+        let r = solve_until(cfg, &q, 30_000, |m| {
+            m.counter_total("abs_dead_blocks_total") == 1
+        });
         assert!(r.degraded);
         assert_eq!(r.devices[0].status, DeviceStatus::Degraded);
         assert_eq!(r.devices[0].dead_blocks, 1);
@@ -390,8 +412,10 @@ mod tests {
             1,
             Corruption::WrongEnergy,
         )));
-        cfg.stop = StopCondition::flips(30_000);
-        let r = solve(cfg, &q);
+        cfg.stop = StopCondition::timeout(Duration::from_secs(60));
+        let r = solve_until(cfg, &q, 30_000, |m| {
+            m.counter_total("abs_host_rejected_total") == 1
+        });
         assert_eq!(r.rejected_records, 1);
         assert_eq!(r.devices[0].rejected_records, 1);
         assert_eq!(r.best_energy, q.energy(&r.best), "best stays exact");

@@ -62,3 +62,8 @@ pub use storage::{CouplingMatrix, MatrixStorage, SPARSE_DENSITY_PER_MILLE};
 /// Maximum problem size supported by the reference ABS implementation
 /// (the paper's GPU register budget allows up to 32 k bits).
 pub const MAX_BITS: usize = 32 * 1024;
+
+// The worst-case Δ bound, an all-`i16::MIN` matrix at `MAX_BITS`, is
+// 32768·(2n − 1) (see `Qubo::delta_bound`). It fits `i32`, so every
+// constructible problem runs on 32-bit Δ accumulators.
+const _: () = assert!(32768 * (2 * MAX_BITS as i64 - 1) <= i32::MAX as i64);

@@ -362,7 +362,7 @@ impl Qubo {
     /// cache/dedup key, not an integrity guarantee.
     #[must_use]
     pub fn content_hash(&self) -> ContentHash {
-        let mut lanes = ContentLanes::new();
+        let mut lanes = ContentSponge::new();
         lanes.absorb(self.n as u64);
         for i in 0..self.n {
             for j in i..self.n {
@@ -425,7 +425,7 @@ impl fmt::Display for ContentHash {
 
 /// Four chained 64-bit absorption lanes (the BLAKE-inspired sponge
 /// behind [`Qubo::content_hash`]).
-struct ContentLanes {
+struct ContentSponge {
     state: [u64; 4],
     absorbed: u64,
 }
@@ -439,7 +439,7 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl ContentLanes {
+impl ContentSponge {
     /// Distinct lane seeds (digits of φ, π, e, √2) and per-lane odd
     /// multipliers decorrelate the four lanes over the same stream.
     const SEEDS: [u64; 4] = [

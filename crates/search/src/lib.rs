@@ -31,12 +31,12 @@
 //! the same pass. [`local_search`] uses the fused path automatically for
 //! any policy implementing [`SelectionPolicy::next_window`].
 //!
-//! On top of the fusion sits a SIMD tier ([`simd`]): for `i32`
-//! accumulators the fused pass runs in `[i32; LANES]` chunks over the
-//! padded row layout of [`qubo::Qubo`], with an AVX2 specialization
-//! behind runtime feature detection ([`FlipKernel::detect`]) and the
-//! scalar fused path as the portable, bit-identical fallback.
-//! `ABS_FORCE_SCALAR=1` forces the scalar arm process-wide.
+//! On top of the fusion sits an AVX-512 tier ([`simd`]): for `i32`
+//! accumulators on a CPU with `avx512f`, the fused pass runs in 16-lane
+//! vectors over the padded row layout of [`qubo::Qubo`], picked by
+//! runtime feature detection ([`FlipKernel::detect`]). Everywhere else
+//! the scalar fused path runs; it is the portable, bit-identical
+//! reference. `ABS_FORCE_SCALAR=1` forces the scalar arm process-wide.
 //!
 //! Orthogonal to the accumulator width sits the *storage* axis
 //! (`qubo::MatrixStorage`): [`SparseDeltaTracker`] is the CSR arm with
@@ -71,7 +71,7 @@
 //! ```
 
 // deny (not forbid): the simd module scopes a single #[allow] around
-// its feature-gated AVX2 arms; everything else stays unsafe-free and
+// its feature-gated AVX-512 arm; everything else stays unsafe-free and
 // abs-lint requires a SAFETY comment at every unsafe site in the
 // Device zone (device-unsafe-justified).
 #![deny(unsafe_code)]

@@ -69,17 +69,29 @@ pub trait SelectionPolicy<A: DeltaAcc = i64>: Send {
 /// Panics if `deltas` is empty or `start >= n`.
 #[must_use]
 pub fn window_argmin<A: DeltaAcc>(deltas: &[A], start: usize, len: usize) -> usize {
+    window_argmin_by(deltas, start, len, slice_min_first)
+}
+
+/// [`window_argmin`] with the first-occurrence slice scan supplied by
+/// the caller: the AVX-512 arm ([`crate::simd`]) plugs in its AVX2
+/// scan and shares this window split and tie-break.
+pub(crate) fn window_argmin_by<A: DeltaAcc>(
+    deltas: &[A],
+    start: usize,
+    len: usize,
+    min_first: impl Fn(&[A]) -> (usize, A),
+) -> usize {
     let n = deltas.len();
     assert!(start < n, "window start {start} out of range {n}");
     let l = len.clamp(1, n);
     let first_len = l.min(n - start);
     // invariant: start < n asserted above and start+first_len <= n by
     // the min against n-start.
-    let (i1, v1) = slice_min_first(&deltas[start..start + first_len]);
+    let (i1, v1) = min_first(&deltas[start..start + first_len]);
     let rest = l - first_len;
     if rest > 0 {
         // invariant: rest = l - first_len <= n since l <= n.
-        let (i2, v2) = slice_min_first(&deltas[..rest]);
+        let (i2, v2) = min_first(&deltas[..rest]);
         if v2 < v1 {
             return i2;
         }

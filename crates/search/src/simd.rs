@@ -1,31 +1,29 @@
-//! Lane-wise SIMD tier for the flip hot path.
+//! AVX-512 tier for the flip hot path.
 //!
 //! The Eq. (16) update is a dense, branch-free sweep over one padded
-//! matrix row — exactly the shape data-level parallelism likes. This
-//! module provides the lane-wise kernels behind the scalar fused path
-//! of [`crate::DeltaTracker`]:
+//! matrix row — exactly the shape data-level parallelism likes. The
+//! flip kernel exists in two arms, chosen once per process by
+//! [`FlipKernel::detect`] (the paper's per-kernel-launch choice, §3.2):
 //!
-//! * [`flip_update`] — the Δ-update and best-neighbour min in fixed
-//!   lane-wise chunks. The per-bit sign `φ(x_i)·φ(x_k)` is read
-//!   straight from the packed solution words (`x_i ⊕ x_k` per lane), so
-//!   the increment `2·W_ik·φ(x_i)·φ(x_k)` becomes a shift, an XOR and a
-//!   subtract — no multiplies and no byte-per-bit sign array load.
-//! * [`window_argmin`] — the circular-window argmin of the selection
-//!   policy (Fig. 2) as a single lane-wise pass that tracks candidate
-//!   indices alongside the min fold.
+//! * [`FlipKernel::Scalar`] — the scalar fused path of
+//!   [`crate::DeltaTracker`] (the `fused_i32`/`fused_i64` kernel): the
+//!   portable arm and the reference. The compiler autovectorizes its
+//!   add-min loops for whatever the build targets.
+//! * [`FlipKernel::Avx512`] — this module's kernels:
+//!   - `flip_update`: the Δ-update and best-neighbour min, 16 lanes per
+//!     512-bit vector. The chunk's `x ⊕ x_k` bits are lifted straight
+//!     out of the packed solution word as a `__mmask16`, so the
+//!     increment `2·W_ik·φ(x_i)·φ(x_k)` becomes two mask-complementary
+//!     add/sub ops — no multiplies and no byte-per-bit sign array load.
+//!   - `window_argmin`: the circular-window argmin of the selection
+//!     policy (Fig. 2) as one AVX2 pass that tracks candidate indices
+//!     alongside the min fold.
 //!
-//! The update exists in three lane arms: a portable chunked form on
-//! stable Rust written so the autovectorizer can keep full lanes
-//! ([`FlipKernel::Lanes`]), a `#[target_feature(enable = "avx2")]`
-//! specialization ([`FlipKernel::Avx2`]), and an AVX-512 mask-register
-//! form ([`FlipKernel::Avx512`]) that lifts 16 packed solution bits
-//! directly as a `__mmask16` predicate — selected once per process by
-//! [`FlipKernel::detect`] via `is_x86_feature_detected!`. The existing
-//! scalar fused path ([`FlipKernel::Scalar`], the PR-1 `fused_i32`
-//! kernel) stays the portable fallback and the reference: every arm is
-//! bit-identical on all observable state (Δ vector, energies, selected
-//! indices — min values are order-independent and the argmin tie-break
-//! is first-in-scan-order in every arm).
+//! Both arms are bit-identical on all observable state (Δ vector,
+//! energies, selected indices — min values are order-independent and
+//! the argmin tie-break is first-in-scan-order in both). Why there is
+//! no portable lane-chunked or AVX2 update arm: both lost the arm
+//! census (ALGORITHMS.md §4c).
 //!
 //! The kernels require the padded row layout of [`qubo::Qubo`]: rows of
 //! `stride()` elements (a [`qubo::ROW_LANE`] multiple, 64-byte aligned)
@@ -35,7 +33,7 @@
 //! (the fold always sees the flipped bit's own `−Δ_k`, a real entry),
 //! so chunks never need a tail branch and never straddle a row.
 // The crate root denies unsafe_code; this module is the single
-// sanctioned exception, scoped to the feature-gated intrinsic arms
+// sanctioned exception, scoped to the feature-gated intrinsic arm
 // below.
 // Every unsafe site carries a SAFETY comment naming the checked CPU
 // feature or in-bounds invariant (enforced by the abs-lint
@@ -44,36 +42,18 @@
 
 use std::sync::OnceLock;
 
-/// Lanes per chunk: 8 × `i32` = one 256-bit AVX2 vector. A divisor of
-/// [`qubo::ROW_LANE`] (so chunks never straddle padded rows) and of 64
-/// (so one packed `u64` solution word covers 8 whole chunks and a
-/// chunk's bits never straddle a word).
-pub const LANES: usize = 8;
-
-/// Portable-arm chunk width: one full padded-row quantum
-/// ([`qubo::ROW_LANE`] lanes of `i32`), wide enough that an AVX-512
-/// build keeps two full 512-bit vectors per iteration. A multiple of 32
-/// dividing 64, so a chunk's bits never straddle a packed word and
-/// `chunks_exact` covers the whole padded stride with no tail.
-const CHUNK: usize = qubo::ROW_LANE;
-
 /// The flip kernel chosen for a tracker: which code path executes the
 /// Eq. (16) update and the window argmin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlipKernel {
-    /// The scalar fused path (PR 1, `fused_i32`/`fused_i64`): portable
+    /// The scalar fused path (`fused_i32`/`fused_i64`): portable
     /// reference, and the only arm for `i64` accumulators.
     Scalar,
-    /// Portable lane-wise chunks on stable Rust (autovectorized).
-    Lanes,
-    /// `#[target_feature(enable = "avx2")]` specializations, selected
-    /// only after `is_x86_feature_detected!("avx2")`.
-    Avx2,
     /// `#[target_feature(enable = "avx512f")]` specialization: the
     /// packed `x ⊕ x_k` bits are used *directly* as a `__mmask16` for
     /// mask-complementary add/sub — no per-lane sign decode at all.
-    /// Selected only after `is_x86_feature_detected!` confirms both
-    /// `avx512f` and `avx2` (the argmin arm runs on AVX2).
+    /// Needs both `avx512f` and `avx2` (the argmin runs on AVX2); see
+    /// [`FlipKernel::is_supported`].
     Avx512,
 }
 
@@ -83,8 +63,6 @@ impl FlipKernel {
     pub const fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Lanes => "lanes",
-            Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
         }
     }
@@ -95,9 +73,7 @@ impl FlipKernel {
     pub const fn as_u8(self) -> u8 {
         match self {
             Self::Scalar => 1,
-            Self::Lanes => 2,
-            Self::Avx2 => 3,
-            Self::Avx512 => 4,
+            Self::Avx512 => 2,
         }
     }
 
@@ -106,50 +82,58 @@ impl FlipKernel {
     pub const fn from_u8(v: u8) -> Option<Self> {
         match v {
             1 => Some(Self::Scalar),
-            2 => Some(Self::Lanes),
-            3 => Some(Self::Avx2),
-            4 => Some(Self::Avx512),
+            2 => Some(Self::Avx512),
             _ => None,
+        }
+    }
+
+    /// Whether this CPU can run the arm: always for [`Scalar`]; for
+    /// [`Avx512`] only when the runtime check (cached by the standard
+    /// library) reports both `avx512f` and `avx2`.
+    /// [`crate::DeltaTracker::with_kernel`] asserts this, so no safe
+    /// path reaches the intrinsics on a CPU without them.
+    ///
+    /// [`Scalar`]: FlipKernel::Scalar
+    /// [`Avx512`]: FlipKernel::Avx512
+    #[must_use]
+    pub fn is_supported(self) -> bool {
+        match self {
+            Self::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Self::Avx512 => false,
         }
     }
 
     /// The best kernel for this process, decided once and cached:
     /// `ABS_FORCE_SCALAR` (any non-empty value) forces [`Scalar`];
-    /// a CPU reporting `avx512f` (and `avx2`, for the argmin arm) gets
-    /// the mask-register arm; a build whose *compile target* already
-    /// enables AVX2 (e.g. `-C target-cpu=native`) prefers the portable
-    /// lane arm over the 8-lane intrinsics — the compiler vectorizes it
-    /// with the full statically-known feature set; a baseline build on
-    /// an AVX2-capable CPU uses the `#[target_feature]` AVX2 arm;
-    /// everything else gets the portable arm. Device threads call this
-    /// once at launch (the paper's per-kernel-launch specialization,
-    /// §3.2) and record the choice in global memory for telemetry.
+    /// otherwise a CPU that supports [`Avx512`] gets it and everything
+    /// else gets [`Scalar`]. Device threads call this once at launch
+    /// (the paper's per-kernel-launch specialization, §3.2) and record
+    /// the choice in global memory for telemetry.
     ///
     /// [`Scalar`]: FlipKernel::Scalar
+    /// [`Avx512`]: FlipKernel::Avx512
     #[must_use]
     pub fn detect() -> Self {
         static DETECTED: OnceLock<FlipKernel> = OnceLock::new();
         *DETECTED.get_or_init(|| {
-            if std::env::var_os("ABS_FORCE_SCALAR").is_some_and(|v| !v.is_empty()) {
-                return Self::Scalar;
+            let forced = std::env::var_os("ABS_FORCE_SCALAR").is_some_and(|v| !v.is_empty());
+            if !forced && Self::Avx512.is_supported() {
+                Self::Avx512
+            } else {
+                Self::Scalar
             }
-            #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
-                return Self::Avx512;
-            }
-            if cfg!(target_feature = "avx2") {
-                return Self::Lanes;
-            }
-            #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx2") {
-                return Self::Avx2;
-            }
-            Self::Lanes
         })
     }
 }
 
-/// The lane-wise Eq. (16) update: negates `d[k]` in place, adds
+/// `i32` lanes per AVX2 argmin chunk: one 256-bit vector.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 8;
+
+/// The AVX-512 Eq. (16) update: negates `d[k]` in place, adds
 /// `2·W_ik·φ(x_i)·φ(x_k)` to every other entry, and returns
 /// `min_i d_i` of the new state (over the real entries; pad sentinels
 /// cannot win, see the module docs).
@@ -160,195 +144,43 @@ impl FlipKernel {
 ///   ([`qubo::BitVec::words`]).
 /// * `xk` — the pre-flip value of bit `k`.
 ///
-/// The sign product is branchless: `φ(x_i)·φ(x_k) = 1 − 2·(x_i ⊕ x_k)`,
-/// and the XOR word `xw ⊕ broadcast(x_k)` is formed once per packed
-/// word, so the per-lane increment is `(2·W_ik ⊕ m) − m` with
-/// `m ∈ {0, −1}`. The `k` lane needs no special case in the sweep: its
-/// XOR bit is 0, so its increment is exactly `+2·W_kk`, and the kernel
+/// The `k` lane needs no special case in the sweep: its `x ⊕ x_k` bit
+/// is 0, so its increment is exactly `+2·W_kk`, and the kernel
 /// pre-writes `d[k] = −Δ_k − 2·W_kk` (wrapping; the transient wrap, if
 /// any, cancels on the add) so the uniform pass lands it on `−Δ_k` and
 /// folds the correct value into the min.
 ///
+/// Only [`crate::DeltaTracker`] calls this, and only when its kernel is
+/// [`FlipKernel::Avx512`], which its constructor asserted is supported.
+///
 /// # Panics
-/// Panics (debug) if the slice lengths disagree or are not chunk
+/// Panics (debug) if the slice lengths disagree or are not 16-lane
 /// multiples, or if `k` is out of range.
+#[cfg(target_arch = "x86_64")]
 #[must_use]
-pub fn flip_update(
-    kernel: FlipKernel,
-    d: &mut [i32],
-    row: &[i16],
-    xw: &[u64],
-    k: usize,
-    xk: bool,
-) -> i32 {
+pub(crate) fn flip_update(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, xk: bool) -> i32 {
     debug_assert_eq!(d.len(), row.len(), "Δ slice must match the padded row");
-    debug_assert_eq!(d.len() % CHUNK, 0, "padded stride must be a CHUNK multiple");
+    debug_assert_eq!(d.len() % 16, 0, "padded stride must be a 16-lane multiple");
     debug_assert!(k < d.len(), "flip index out of range");
     debug_assert!(
         xw.len() * 64 >= d.len(),
         "packed words must cover the stride"
     );
-    match kernel {
-        FlipKernel::Scalar | FlipKernel::Lanes => flip_update_lanes(d, row, xw, k, xk),
-        FlipKernel::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: the Avx2 variant is only constructed by
-                // FlipKernel::detect (or by tests) after
-                // is_x86_feature_detected!("avx2") confirmed the CPU
-                // feature for this process.
-                unsafe { flip_update_avx2(d, row, xw, k, xk) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                flip_update_lanes(d, row, xw, k, xk)
-            }
-        }
-        FlipKernel::Avx512 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: the Avx512 variant is only constructed by
-                // FlipKernel::detect (or by tests) after
-                // is_x86_feature_detected!("avx512f") confirmed the CPU
-                // feature for this process.
-                unsafe { flip_update_avx512(d, row, xw, k, xk) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                flip_update_lanes(d, row, xw, k, xk)
-            }
-        }
-    }
+    debug_assert!(FlipKernel::Avx512.is_supported());
+    // SAFETY: the tracker dispatches here only for FlipKernel::Avx512,
+    // and DeltaTracker::with_kernel asserted FlipKernel::is_supported,
+    // i.e. is_x86_feature_detected!("avx512f") for this process.
+    unsafe { flip_update_avx512(d, row, xw, k, xk) }
 }
 
-/// Portable arm of [`flip_update`]: fixed-width chunks with per-lane
-/// min accumulators, written so every operation is lane-independent and
-/// the autovectorizer keeps full vectors.
-fn flip_update_lanes(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, xk: bool) -> i32 {
-    // invariant: k < d.len() = row.len(), asserted by flip_update.
-    let d_k_new = -d[k];
-    // Pre-bias: the uniform sweep below adds exactly +2·W_kk to lane k
-    // (its XOR bit is x_k ⊕ x_k = 0), so starting it at -Δ_k - 2·W_kk
-    // lands it on -Δ_k with no per-lane index compare in the hot loop.
-    // The transient value may wrap; the wrapping add cancels the wrap
-    // exactly, and only the final value is ever observed (by the min
-    // fold here and by callers).
-    // invariant: k < d.len() = row.len(), asserted by flip_update.
-    d[k] = d_k_new.wrapping_sub(i32::from(row[k]) << 1);
-    let xk_mask = if xk { u64::MAX } else { 0 };
-    let mut min_l = [i32::MAX; CHUNK];
-    for (ci, (dc, wc)) in d
-        .chunks_exact_mut(CHUNK)
-        .zip(row.chunks_exact(CHUNK))
-        .enumerate()
-    {
-        let base = ci * CHUNK;
-        // invariant: base <= stride - CHUNK < 64 * xw.len(), and
-        // base % 64 ∈ {0, 32}, so the chunk's 32 bits live in one word.
-        let bits = ((xw[base / 64] ^ xk_mask) >> (base % 64)) as u32;
-        for j in 0..CHUNK {
-            // m = -(x_i ^ x_k): 0 or -1 per lane.
-            let m = (((bits >> j) & 1) as i32).wrapping_neg();
-            // (w2 ^ m) - m = ±w2: the whole Eq. (16) increment without
-            // a multiply (pad lanes have w2 = 0, so they stay inert and
-            // keep their i32::MAX sentinels).
-            // invariant: j < CHUNK = dc.len() = wc.len() = min_l.len()
-            // (chunks_exact yields exactly CHUNK-long slices).
-            let w2 = i32::from(wc[j]) << 1;
-            let v = dc[j].wrapping_add((w2 ^ m) - m);
-            // invariant: same j < CHUNK bound as above.
-            dc[j] = v;
-            min_l[j] = min_l[j].min(v);
-        }
-    }
-    // invariant: CHUNK >= 1, so lane 0 exists and 1.. is in range.
-    let mut m = min_l[0];
-    for &v in &min_l[1..] {
-        m = m.min(v);
-    }
-    m
-}
-
-/// AVX2 arm of [`flip_update`]: one 256-bit vector per chunk.
+/// One 512-bit vector per 16-lane chunk: lanes with `x ⊕ x_k` bit 0
+/// add `2·W_ik` (`φ(x_i)·φ(x_k) = +1`), lanes with bit 1 subtract it.
 ///
 /// # Safety
-/// The caller must have verified `is_x86_feature_detected!("avx2")`
-/// (guaranteed by [`FlipKernel::detect`], the only producer of
-/// [`FlipKernel::Avx2`]). Slice-length preconditions are those of
-/// [`flip_update`]; every pointer access below stays inside `d`/`row`
-/// because `base + LANES <= d.len() == row.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: target_feature fn — callable only from the feature-checked dispatch in flip_update.
-unsafe fn flip_update_avx2(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, xk: bool) -> i32 {
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_castsi256_si128, _mm256_cvtepi16_epi32,
-        _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_min_epi32, _mm256_set1_epi32,
-        _mm256_setr_epi32, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_srlv_epi32,
-        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_xor_si256, _mm_cvtsi128_si32,
-        _mm_loadu_si128, _mm_min_epi32, _mm_shuffle_epi32,
-    };
-
-    // invariant: k < d.len() = row.len(), asserted by flip_update.
-    let d_k_new = -d[k];
-    // Pre-bias (see the portable arm): the uniform sweep adds exactly
-    // +2·W_kk to lane k, landing it on -Δ_k without any per-lane index
-    // mask; vector adds wrap, cancelling any transient wrap here.
-    // invariant: k < d.len() = row.len(), asserted by flip_update.
-    d[k] = d_k_new.wrapping_sub(i32::from(row[k]) << 1);
-    let xk_mask = if xk { u64::MAX } else { 0 };
-    let lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let ones = _mm256_set1_epi32(1);
-    let mut vmin = _mm256_set1_epi32(i32::MAX);
-    let chunks = d.len() / LANES;
-    let dp = d.as_mut_ptr();
-    let wp = row.as_ptr();
-    for ci in 0..chunks {
-        let base = ci * LANES;
-        // invariant: base <= stride - LANES < 64 * xw.len() (see the
-        // portable arm); the low 8 bits are this chunk's x ^ x_k bits.
-        let bits = (((xw[base / 64] ^ xk_mask) >> (base % 64)) & 0xff) as i32;
-        let bv = _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32(bits), lane_idx), ones);
-        // m = 0 or -1 per lane (= -(x_i ^ x_k)).
-        let m = _mm256_sub_epi32(_mm256_setzero_si256(), bv);
-        // SAFETY: base + LANES <= row.len(); 8 i16 = 16 bytes read
-        // through an unaligned-tolerant load (rows are in fact 64-byte
-        // aligned via the padded Qubo layout).
-        let w16 = unsafe { _mm_loadu_si128(wp.add(base).cast()) };
-        let w32 = _mm256_cvtepi16_epi32(w16);
-        let w2 = _mm256_slli_epi32::<1>(w32);
-        // (w2 ^ m) - m = ±2·W_ik: the Eq. (16) increment, multiply-free.
-        let inc = _mm256_sub_epi32(_mm256_xor_si256(w2, m), m);
-        // SAFETY: base + LANES <= d.len(); unaligned-tolerant 256-bit
-        // load/store of this chunk's Δ entries.
-        let dv = unsafe { _mm256_loadu_si256(dp.add(base).cast::<__m256i>()) };
-        let v = _mm256_add_epi32(dv, inc);
-        // SAFETY: same in-bounds chunk as the load above.
-        unsafe { _mm256_storeu_si256(dp.add(base).cast::<__m256i>(), v) };
-        vmin = _mm256_min_epi32(vmin, v);
-    }
-    // Horizontal min of the 8 lane accumulators.
-    let lo = _mm256_castsi256_si128(vmin);
-    let hi = _mm256_extracti128_si256::<1>(vmin);
-    let m128 = _mm_min_epi32(lo, hi);
-    let m64 = _mm_min_epi32(m128, _mm_shuffle_epi32::<0b00_00_11_10>(m128));
-    let m32 = _mm_min_epi32(m64, _mm_shuffle_epi32::<0b00_00_00_01>(m64));
-    _mm_cvtsi128_si32(m32)
-}
-
-/// AVX-512 arm of [`flip_update`]: one 512-bit vector per 16-lane
-/// chunk. The chunk's `x ⊕ x_k` bits are lifted straight out of the
-/// packed solution word as a `__mmask16` — zero per-lane sign decode —
-/// and applied as two mask-complementary ops on the shifted weights:
-/// lanes with bit 0 add `2·W_ik` (`φ(x_i)·φ(x_k) = +1`), lanes with
-/// bit 1 subtract it.
-///
-/// # Safety
-/// The caller must have verified `is_x86_feature_detected!("avx512f")`
-/// (guaranteed by [`FlipKernel::detect`], the only non-test producer of
-/// [`FlipKernel::Avx512`]). Slice-length preconditions are those of
-/// [`flip_update`]; every pointer access below stays inside `d`/`row`
-/// because `base + 16 <= d.len() == row.len()`.
+/// The caller must have verified `is_x86_feature_detected!("avx512f")`.
+/// Slice-length preconditions are those of [`flip_update`]; every
+/// pointer access below stays inside `d`/`row` because
+/// `base + 16 <= d.len() == row.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 // SAFETY: target_feature fn — callable only from the feature-checked dispatch in flip_update.
@@ -359,13 +191,14 @@ unsafe fn flip_update_avx512(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, x
         _mm512_set1_epi32, _mm512_slli_epi32, _mm512_storeu_si512,
     };
 
-    /// Lanes per 512-bit vector.
+    /// `i32` lanes per 512-bit vector.
     const L: usize = 16;
     // invariant: k < d.len() = row.len(), asserted by flip_update.
     let d_k_new = -d[k];
-    // Pre-bias (see the portable arm): the uniform sweep adds exactly
-    // +2·W_kk to lane k, landing it on -Δ_k without any per-lane index
-    // mask; vector adds wrap, cancelling any transient wrap here.
+    // Pre-bias: the uniform sweep adds exactly +2·W_kk to lane k (its
+    // XOR bit is x_k ⊕ x_k = 0), landing it on -Δ_k without any
+    // per-lane index mask; vector adds wrap, cancelling any transient
+    // wrap here, and only the final value is ever observed.
     // invariant: k < d.len() = row.len(), asserted by flip_update.
     d[k] = d_k_new.wrapping_sub(i32::from(row[k]) << 1);
     let xk_mask = if xk { u64::MAX } else { 0 };
@@ -397,88 +230,43 @@ unsafe fn flip_update_avx512(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, x
     _mm512_reduce_min_epi32(vmin)
 }
 
-/// Lane-wise circular-window argmin over `deltas[..n]`: index of the
-/// minimum inside the window of length `len` starting at `start`, with
-/// the exact tie-break contract of [`crate::window_argmin`] (first
-/// index in scan order from `start`; the wrapped slice wins only on a
-/// strictly smaller value). `len` is clamped to `[1, n]`.
+/// AVX2 circular-window argmin over `deltas[..n]`: [`crate::window_argmin`]
+/// (same window split, clamp and first-in-scan-order tie-break) with
+/// each contiguous scan running as one AVX2 pass.
 ///
 /// Callers pass the *logical* Δ slice (`..n`, without pad sentinels):
-/// windows are defined over real bits only.
+/// windows are defined over real bits only. Only
+/// [`crate::DeltaTracker`] calls this, under the same
+/// [`FlipKernel::Avx512`] guard as [`flip_update`].
 ///
 /// # Panics
 /// Panics if `deltas` is empty or `start >= deltas.len()`.
+#[cfg(target_arch = "x86_64")]
 #[must_use]
-pub fn window_argmin(kernel: FlipKernel, deltas: &[i32], start: usize, len: usize) -> usize {
-    let n = deltas.len();
-    assert!(start < n, "window start {start} out of range {n}");
-    let l = len.clamp(1, n);
-    let first_len = l.min(n - start);
-    // invariant: start < n asserted above and start + first_len <= n
-    // by the min against n - start.
-    let (i1, v1) = slice_min_first(kernel, &deltas[start..start + first_len]);
-    let rest = l - first_len;
-    if rest > 0 {
-        // invariant: rest = l - first_len <= n since l <= n.
-        let (i2, v2) = slice_min_first(kernel, &deltas[..rest]);
-        if v2 < v1 {
-            return i2;
-        }
-    }
-    start + i1
+pub(crate) fn window_argmin(deltas: &[i32], start: usize, len: usize) -> usize {
+    debug_assert!(FlipKernel::Avx512.is_supported());
+    crate::policy::window_argmin_by(deltas, start, len, |s| {
+        // SAFETY: the tracker dispatches here only for
+        // FlipKernel::Avx512, and DeltaTracker::with_kernel asserted
+        // FlipKernel::is_supported, which includes
+        // is_x86_feature_detected!("avx2") for this process.
+        unsafe { slice_min_first_avx2(s) }
+    })
 }
 
-/// First-occurrence minimum of a non-empty slice, lane-dispatched.
-fn slice_min_first(kernel: FlipKernel, s: &[i32]) -> (usize, i32) {
-    match kernel {
-        FlipKernel::Scalar | FlipKernel::Lanes => slice_min_first_lanes(s),
-        FlipKernel::Avx2 | FlipKernel::Avx512 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: both intrinsic variants come only from
-                // FlipKernel::detect (or tests), which checked
-                // is_x86_feature_detected!("avx2") for this process
-                // (Avx512 additionally requires avx512f).
-                unsafe { slice_min_first_avx2(s) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                slice_min_first_lanes(s)
-            }
-        }
-    }
-}
-
-/// Portable arm: a lane-independent min fold, then one locate scan
-/// (both straight-line and autovectorizable).
-fn slice_min_first_lanes(s: &[i32]) -> (usize, i32) {
-    // invariant: callers pass non-empty slices (flip_update's sweep and
-    // window_argmin's clamp to [1, n] both guarantee it).
-    let mut min_v = s[0];
-    for &v in &s[1..] {
-        min_v = min_v.min(v);
-    }
-    // invariant: min_v was read out of `s` above, so the locate scan
-    // stops before i leaves the slice.
-    let mut i = 0;
-    while s[i] != min_v {
-        i += 1;
-    }
-    (i, min_v)
-}
-
-/// AVX2 arm: a single pass that carries a candidate-index vector next
-/// to the min fold (per-lane first occurrence; strict-less blend), then
-/// reduces to the smallest index among the lanes holding the global
-/// min. The scalar tail updates on strictly-smaller only, so earlier
-/// vector positions keep ties — the combined result is the
-/// first-in-slice minimum, exactly like the portable arm.
+/// First-occurrence minimum of a non-empty slice in a single pass that
+/// carries a candidate-index vector next to the min fold (per-lane
+/// first occurrence; strict-less blend), then reduces to the smallest
+/// index among the lanes holding the global min. The scalar tail
+/// updates on strictly-smaller only, so earlier vector positions keep
+/// ties — the combined result is the first-in-slice minimum, exactly
+/// like the generic scan in [`crate::policy`].
 ///
 /// # Safety
 /// Caller must have verified `is_x86_feature_detected!("avx2")`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: target_feature fn — callable only from the feature-checked dispatch in slice_min_first.
+// SAFETY: target_feature fn — callable only from the feature-checked dispatch in window_argmin.
 unsafe fn slice_min_first_avx2(s: &[i32]) -> (usize, i32) {
     use std::arch::x86_64::{
         _mm256_add_epi32, _mm256_blendv_epi8, _mm256_cmpgt_epi32, _mm256_loadu_si256,
@@ -529,25 +317,15 @@ unsafe fn slice_min_first_avx2(s: &[i32]) -> (usize, i32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(target_arch = "x86_64")]
     use qubo::{BitVec, Qubo};
+    #[cfg(target_arch = "x86_64")]
     use rand::rngs::StdRng;
+    #[cfg(target_arch = "x86_64")]
     use rand::{Rng, SeedableRng};
 
-    fn kernels() -> Vec<FlipKernel> {
-        let mut k = vec![FlipKernel::Lanes];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                k.push(FlipKernel::Avx2);
-                if is_x86_feature_detected!("avx512f") {
-                    k.push(FlipKernel::Avx512);
-                }
-            }
-        }
-        k
-    }
-
     /// Scalar reference of the update + min (the fused_i32 semantics).
+    #[cfg(target_arch = "x86_64")]
     fn reference(d: &mut [i32], row: &[i16], x: &BitVec, k: usize, n: usize) -> i32 {
         let two_pk = if x.get(k) { -2 } else { 2 };
         let d_k_new = -d[k];
@@ -564,8 +342,12 @@ mod tests {
         min_d
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn flip_update_matches_scalar_reference() {
+        if !FlipKernel::Avx512.is_supported() {
+            return;
+        }
         let mut rng = StdRng::seed_from_u64(31);
         for n in [1usize, 7, 8, 9, 31, 32, 33, 64, 65, 100] {
             let q = Qubo::random(n, &mut rng);
@@ -579,63 +361,71 @@ mod tests {
                     i32::MAX
                 };
             }
-            for kern in kernels() {
-                for k in [0, n / 2, n - 1] {
-                    let mut want = d0[..n].to_vec();
-                    let want_min = reference(&mut want, q.row(k), &x, k, n);
-                    let mut got = d0.clone();
-                    let got_min =
-                        flip_update(kern, &mut got, q.row_padded(k), x.words(), k, x.get(k));
-                    assert_eq!(&got[..n], &want[..], "{kern:?} n={n} k={k}");
-                    assert_eq!(got_min, want_min, "{kern:?} n={n} k={k}");
-                    assert!(got[n..].iter().all(|&v| v == i32::MAX), "pad disturbed");
-                }
+            for k in [0, n / 2, n - 1] {
+                let mut want = d0[..n].to_vec();
+                let want_min = reference(&mut want, q.row(k), &x, k, n);
+                let mut got = d0.clone();
+                let got_min = flip_update(&mut got, q.row_padded(k), x.words(), k, x.get(k));
+                assert_eq!(&got[..n], &want[..], "n={n} k={k}");
+                assert_eq!(got_min, want_min, "n={n} k={k}");
+                assert!(got[n..].iter().all(|&v| v == i32::MAX), "pad disturbed");
             }
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn window_argmin_matches_portable_contract() {
+        if !FlipKernel::Avx512.is_supported() {
+            return;
+        }
         let mut rng = StdRng::seed_from_u64(32);
         for n in [1usize, 5, 8, 17, 64, 100] {
             let d: Vec<i32> = (0..n).map(|_| rng.gen_range(-50..50)).collect();
             let wide: Vec<i64> = d.iter().map(|&v| i64::from(v)).collect();
-            for kern in kernels() {
-                for _ in 0..40 {
-                    let start = rng.gen_range(0..n);
-                    let len = rng.gen_range(1..=n + 2);
-                    assert_eq!(
-                        window_argmin(kern, &d, start, len),
-                        crate::window_argmin(&wide, start, len),
-                        "{kern:?} n={n} start={start} len={len}"
-                    );
-                }
+            for _ in 0..40 {
+                let start = rng.gen_range(0..n);
+                let len = rng.gen_range(1..=n + 2);
+                assert_eq!(
+                    window_argmin(&d, start, len),
+                    crate::window_argmin(&wide, start, len),
+                    "n={n} start={start} len={len}"
+                );
             }
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn window_argmin_breaks_ties_first_in_scan_order() {
-        let d = vec![3i32, 1, 1, 5, 1, 2];
-        for kern in kernels() {
-            assert_eq!(window_argmin(kern, &d, 0, 6), 1, "{kern:?}");
-            assert_eq!(window_argmin(kern, &d, 2, 6), 2, "{kern:?}");
-            // Wrapped slice must NOT win an equal value.
-            assert_eq!(window_argmin(kern, &d, 4, 4), 4, "{kern:?}");
+        if !FlipKernel::Avx512.is_supported() {
+            return;
         }
+        let d = vec![3i32, 1, 1, 5, 1, 2];
+        assert_eq!(window_argmin(&d, 0, 6), 1);
+        assert_eq!(window_argmin(&d, 2, 6), 2);
+        // Wrapped slice must NOT win an equal value.
+        assert_eq!(window_argmin(&d, 4, 4), 4);
     }
 
     #[test]
     fn kernel_ids_roundtrip() {
-        for k in [
-            FlipKernel::Scalar,
-            FlipKernel::Lanes,
-            FlipKernel::Avx2,
-            FlipKernel::Avx512,
-        ] {
+        for k in [FlipKernel::Scalar, FlipKernel::Avx512] {
             assert_eq!(FlipKernel::from_u8(k.as_u8()), Some(k));
         }
         assert_eq!(FlipKernel::from_u8(0), None);
+        assert_eq!(FlipKernel::from_u8(3), None);
         assert!(!FlipKernel::detect().name().is_empty());
+    }
+
+    #[test]
+    fn support_matches_the_runtime_feature_check() {
+        assert!(FlipKernel::Scalar.is_supported());
+        assert!(FlipKernel::detect().is_supported());
+        #[cfg(target_arch = "x86_64")]
+        let cpu = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let cpu = false;
+        assert_eq!(FlipKernel::Avx512.is_supported(), cpu);
     }
 }

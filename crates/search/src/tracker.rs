@@ -2,7 +2,9 @@
 
 use crate::acc::DeltaAcc;
 use crate::policy::window_argmin;
-use crate::simd::{self, FlipKernel};
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
+use crate::simd::FlipKernel;
 use qubo::{BitVec, Energy, Qubo};
 
 /// The incremental-search surface the bulk-search drivers are generic
@@ -133,11 +135,11 @@ pub struct DeltaTracker<'a, A: DeltaAcc = Energy> {
     x: BitVec,
     /// φ(x_i) ∈ {+1, −1}, kept in sync with `x` — the sign array makes
     /// the scalar hot update loop branch-free and auto-vectorizable
-    /// (the SIMD arms read the packed bits of `x` instead).
+    /// (the AVX-512 arm reads the packed bits of `x` instead).
     sign: Vec<i8>,
     e: Energy,
-    /// The Δ vector, padded to the matrix row stride so lane-wise
-    /// kernels run uniform chunks; entries `n..stride` hold the
+    /// The Δ vector, padded to the matrix row stride so the AVX-512
+    /// kernel runs uniform chunks; entries `n..stride` hold the
     /// `A::LIMIT` sentinel and never win a min (see [`crate::simd`]).
     /// The logical element 0 lives at `d[d_off]`, 64-byte aligned (same
     /// runtime-offset trick as the padded `Qubo` rows), so full-width
@@ -158,7 +160,7 @@ impl<A: DeltaAcc> Clone for DeltaTracker<'_, A> {
     fn clone(&self) -> Self {
         // Re-align instead of memcpy: the clone's buffer lands at a
         // different address, so a copied offset would silently lose the
-        // 64-byte alignment the lane kernels rely on.
+        // 64-byte alignment the AVX-512 kernel relies on.
         let stride = self.d.len() - self.d_off;
         // invariant: d_off + i < d.len() for i < stride, by the line above.
         let (d, d_off) = aligned_d(stride, |i| self.d[self.d_off + i]);
@@ -208,11 +210,12 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
     /// Creates a tracker with accumulator width `A` at the canonical
     /// start `X = 0` (see [`DeltaTracker::new`]), dispatching to the
     /// best flip kernel the process detected ([`FlipKernel::detect`];
-    /// the SIMD arms only engage for `i32` accumulators).
+    /// the AVX-512 arm only engages for `i32` accumulators).
     ///
     /// # Panics
-    /// Panics if `qubo`'s Δ bound does not fit width `A` — callers pick
-    /// the width with [`DeltaTracker::fits`] and fall back to `i64`.
+    /// Panics if `qubo`'s Δ bound does not fit width `A`. No valid `i16`
+    /// problem trips this for `i32` (see [`qubo::MAX_BITS`]); the check
+    /// stays as the guard.
     #[must_use]
     pub fn with_width(qubo: &'a Qubo) -> Self {
         Self::with_kernel(qubo, FlipKernel::detect())
@@ -224,7 +227,9 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
     /// always run the scalar path regardless of `kernel`.
     ///
     /// # Panics
-    /// Panics if `qubo`'s Δ bound does not fit width `A`.
+    /// Panics if `qubo`'s Δ bound does not fit width `A`, or if this CPU
+    /// cannot run `kernel` ([`FlipKernel::is_supported`]) — the check
+    /// that keeps the AVX-512 intrinsics off CPUs without them.
     #[must_use]
     pub fn with_kernel(qubo: &'a Qubo, kernel: FlipKernel) -> Self {
         assert!(
@@ -233,9 +238,14 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
             qubo.delta_bound(),
             A::NAME
         );
+        assert!(
+            kernel.is_supported(),
+            "flip kernel {} needs CPU features avx512f and avx2, which this CPU does not report",
+            kernel.name()
+        );
         let n = qubo.n();
         // Pad the Δ vector to the matrix row stride with A::LIMIT
-        // sentinels: lane-wise kernels then run uniform chunks, and a
+        // sentinels: the AVX-512 kernel then runs uniform chunks, and a
         // sentinel can never win the running min strictly (the fold
         // always sees a real entry, see crate::simd).
         let (d, d_off) = aligned_d(qubo.stride(), |i| {
@@ -389,15 +399,15 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
     /// Panics if `start >= n`.
     #[must_use]
     pub fn select_in_window(&self, start: usize, len: usize) -> usize {
-        if self.kernel != FlipKernel::Scalar {
-            if let Some(d32) = A::lanes(&self.d) {
+        match A::lanes(&self.d) {
+            #[cfg(target_arch = "x86_64")]
+            Some(d32) if self.kernel == FlipKernel::Avx512 => {
                 // invariant: d_off + n <= d32.len() (aligned_d); windows
                 // scan the logical prefix only.
-                let dv = &d32[self.d_off..][..self.n()];
-                return simd::window_argmin(self.kernel, dv, start, len);
+                simd::window_argmin(&d32[self.d_off..][..self.n()], start, len)
             }
+            _ => window_argmin(self.deltas(), start, len),
         }
-        window_argmin(self.deltas(), start, len)
     }
 
     /// The fused hot-path step: flips bit `k` and returns the min-Δ
@@ -415,9 +425,9 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
     /// The fused kernel: one traversal of row `W_k` that applies the
     /// Eq. (16) update *and* computes `min_i Δ_i` of the new state for
     /// best-neighbour recording (no separate min pass). Dispatches to
-    /// the lane-wise SIMD tier ([`crate::simd`]) when the tracker's
-    /// kernel and accumulator width allow it; every arm produces
-    /// bit-identical state.
+    /// the AVX-512 arm ([`crate::simd`]) when the tracker's kernel is
+    /// [`FlipKernel::Avx512`] and its accumulators are `i32`; both arms
+    /// produce bit-identical state.
     fn flip_fused(&mut self, k: usize) {
         let n = self.n();
         assert!(k < n, "bit index {k} out of range {n}");
@@ -427,27 +437,25 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
         let d_k_new = d_k_old.neg();
         let e_new = self.e + d_k_old.to_energy();
 
-        let min_d = if self.kernel == FlipKernel::Scalar {
-            self.scalar_update(k, d_k_new)
-        } else if let Some(d32) = A::lanes_mut(&mut self.d) {
-            // The lane-wise arms read signs straight from the packed
-            // pre-flip solution words and land the k lane on -Δ_k via
+        let min_d = match A::lanes_mut(&mut self.d) {
+            // The AVX-512 arm reads signs straight from the packed
+            // pre-flip solution words and lands the k lane on -Δ_k via
             // the pre-bias trick; pad sentinels pass through untouched.
-            // invariant: off + stride = d32.len(), so the aligned view
-            // is exactly one padded row long.
-            let dv = &mut d32[off..];
-            let m = simd::flip_update(
-                self.kernel,
-                dv,
-                self.qubo.row_padded(k),
-                self.x.words(),
-                k,
-                self.x.get(k),
-            );
-            A::from_energy(Energy::from(m))
-        } else {
-            // Wide accumulators have no lane view: scalar fused path.
-            self.scalar_update(k, d_k_new)
+            #[cfg(target_arch = "x86_64")]
+            Some(d32) if self.kernel == FlipKernel::Avx512 => {
+                // invariant: off + stride = d32.len(), so the aligned
+                // view is exactly one padded row long.
+                let m = simd::flip_update(
+                    &mut d32[off..],
+                    self.qubo.row_padded(k),
+                    self.x.words(),
+                    k,
+                    self.x.get(k),
+                );
+                A::from_energy(Energy::from(m))
+            }
+            // Scalar kernel, or wide accumulators with no lane view.
+            _ => self.scalar_update(k, d_k_new),
         };
 
         // invariant: sign[k] in bounds (k < n asserted at entry).
@@ -478,7 +486,7 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
         }
     }
 
-    /// The scalar fused arm (the PR-1 `fused_i32`/`fused_i64` kernel):
+    /// The scalar fused arm (the `fused_i32`/`fused_i64` kernel):
     /// row `W_k` as the two contiguous halves `[0, k)` and `(k, n)`;
     /// the flipped bit's own entry is `−Δ_k` by Eq. (16) and seeds the
     /// running minimum. Returns `min_i Δ_i` of the new state.
@@ -836,12 +844,10 @@ mod tests {
 
     #[test]
     fn all_kernels_walk_identically() {
-        use crate::simd::FlipKernel;
-        let mut arms = vec![FlipKernel::Scalar, FlipKernel::Lanes];
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            arms.push(FlipKernel::Avx2);
-        }
+        let arms: Vec<FlipKernel> = [FlipKernel::Scalar, FlipKernel::Avx512]
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .collect();
         for n in [5usize, 33, 64, 71] {
             let q = random_qubo(n, 40 + n as u64);
             let mut trackers: Vec<_> = arms
@@ -879,11 +885,11 @@ mod tests {
 
     #[test]
     fn wide_tracker_falls_back_to_scalar_path() {
-        use crate::simd::FlipKernel;
-        // An i64 tracker has no lane view: even a SIMD kernel request
-        // must run the scalar arm and stay correct.
+        // An i64 tracker has no lane view: even the AVX-512 request
+        // that detection makes where supported must run the scalar arm
+        // and stay correct.
         let q = random_qubo(40, 50);
-        let mut t = DeltaTracker::<i64>::with_kernel(&q, FlipKernel::Lanes);
+        let mut t = DeltaTracker::<i64>::with_kernel(&q, FlipKernel::detect());
         let mut s = DeltaTracker::<i64>::with_kernel(&q, FlipKernel::Scalar);
         let mut rng = StdRng::seed_from_u64(51);
         for _ in 0..100 {
@@ -901,8 +907,26 @@ mod tests {
         let q = random_qubo(16, 16);
         assert!(DeltaTracker::<i32>::fits(&q));
         assert!(DeltaTracker::<i64>::fits(&q));
-        // With i16 weights and n ≤ 32768 the i32 bound always holds:
-        // max Δ bound is 32767·(2·32767 + 1) < 2³¹ − 1.
-        assert!(32767i64 * (2 * 32767 + 1) < i64::from(i32::MAX));
+    }
+
+    #[test]
+    fn all_min_weights_hit_the_worst_case_bound_and_fit_i32() {
+        // |i16::MIN| = 32768 in every entry is the largest Δ bound an
+        // n-bit problem can have: 32768·(2n − 1). qubo::MAX_BITS pins
+        // that at MAX_BITS under i32::MAX at compile time.
+        for n in [1usize, 2, 7, 64] {
+            let q = Qubo::from_dense(n, vec![i16::MIN; n * n]).unwrap();
+            assert_eq!(q.delta_bound(), 32768 * (2 * n as i64 - 1), "n={n}");
+            assert!(DeltaTracker::<i32>::fits(&q), "n={n}");
+        }
+    }
+
+    #[test]
+    fn avx512_request_is_refused_exactly_where_unsupported() {
+        let q = random_qubo(8, 52);
+        let built = std::panic::catch_unwind(|| {
+            DeltaTracker::<i32>::with_kernel(&q, FlipKernel::Avx512).kernel()
+        });
+        assert_eq!(built.is_ok(), FlipKernel::Avx512.is_supported());
     }
 }

@@ -41,8 +41,8 @@ pub struct DeviceSample {
     /// Health label at the poll boundary (`healthy` / `degraded` /
     /// `dead` / an exclusion label).
     pub health: &'static str,
-    /// Flip-kernel name the device dispatched (`"scalar"` / `"lanes"` /
-    /// `"avx2"`, or `"unset"` before the run starts). Empty (the
+    /// Flip-kernel name the device dispatched (`"scalar"` /
+    /// `"avx512"`, or `"unset"` before the run starts). Empty (the
     /// `Default`) means "not reported" and emits no series.
     pub kernel: &'static str,
     /// Matrix-storage arm the device dispatched (`"dense"` / `"sparse"`,
@@ -545,14 +545,14 @@ mod tests {
         a.poll(std::slice::from_ref(&unreported), &HostSample::default());
         assert!(a
             .snapshot()
-            .gauge_with("abs_flip_kernel", "kernel", "avx2")
+            .gauge_with("abs_flip_kernel", "kernel", "avx512")
             .is_none());
         let mut dispatched = one_device_sample(2, 1, 8);
-        dispatched.kernel = "avx2";
+        dispatched.kernel = "avx512";
         a.poll(std::slice::from_ref(&dispatched), &HostSample::default());
         let snap = a.snapshot();
         assert_eq!(
-            snap.gauge_with("abs_flip_kernel", "kernel", "avx2"),
+            snap.gauge_with("abs_flip_kernel", "kernel", "avx512"),
             Some(1.0)
         );
         // Redispatch (e.g. forced scalar on a later solve): old arm drops
@@ -562,7 +562,7 @@ mod tests {
         a.poll(std::slice::from_ref(&forced), &HostSample::default());
         let snap = a.snapshot();
         assert_eq!(
-            snap.gauge_with("abs_flip_kernel", "kernel", "avx2"),
+            snap.gauge_with("abs_flip_kernel", "kernel", "avx512"),
             Some(0.0)
         );
         assert_eq!(

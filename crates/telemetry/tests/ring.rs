@@ -6,6 +6,7 @@ use abs_telemetry::{Event, EventKind, EventRing};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Reference model: an unbounded queue truncated to capacity from the
 /// front (overwrite-oldest).
@@ -119,6 +120,14 @@ fn drain_while_writing_racing_producer() {
             }
             i
         });
+        // Start draining only once the producer has written, so the
+        // drains below race a live writer even when the scheduler runs
+        // this thread first (a 2000-drain loop can finish before the
+        // producer is ever scheduled on one core).
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while ring.stats().written == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let mut drained: Vec<Event> = Vec::new();
         for _ in 0..2000 {
             drained.extend(ring.drain().events);
@@ -142,5 +151,5 @@ fn drain_while_writing_racing_producer() {
         assert_eq!(stats.written, drained.len() as u64 + stats.overwritten);
         produced
     });
-    assert!(produced > 0);
+    assert!(produced > 0, "producer never wrote within the deadline");
 }

@@ -96,9 +96,10 @@ impl RuntimePolicy {
 }
 
 /// Enum dispatch of the policy trait, generic over the Δ accumulator
-/// width so one block type drives both i32 and i64 trackers. The window
-/// and greedy variants expose their windows, letting [`local_search`]
-/// run the fused flip+select kernel.
+/// width so one block type drives both the i32 trackers devices run and
+/// the i64 reference trackers of the tests. The window and greedy
+/// variants expose their windows, letting [`local_search`] run the
+/// fused flip+select kernel.
 impl<A: DeltaAcc> SelectionPolicy<A> for RuntimePolicy {
     fn select(&mut self, deltas: &[A], x: &qubo::BitVec) -> usize {
         match self {
@@ -155,7 +156,7 @@ pub struct BlockConfig {
     pub policy: PolicyKind,
     /// Flip kernel this block's tracker runs. Devices detect once per
     /// launch ([`FlipKernel::detect`]) and hand every block the same
-    /// choice; wide (`i64`) trackers ignore it and run scalar.
+    /// choice; wide (`i64`) and CSR trackers ignore it and run scalar.
     pub kernel: FlipKernel,
 }
 
@@ -176,8 +177,9 @@ pub struct BlockConfig {
 /// it stands — it never blocks and never synchronizes with other blocks.
 ///
 /// The tracker type `T` carries both storage arms: devices build dense
-/// [`BlockRunner::with_width`] blocks (with `A = i32` whenever the
-/// problem's Δ bound fits, halving the flip kernel's memory traffic) or
+/// [`BlockRunner::with_width`] blocks (with `A = i32`, which every
+/// constructible problem's Δ bound fits, halving the flip kernel's
+/// memory traffic against `i64`) or
 /// CSR [`BlockRunner::sparse`] blocks when the density dispatch picks
 /// the O(degree) tier. Everything past construction is generic over
 /// [`SearchTracker`].

@@ -217,16 +217,15 @@ impl Device {
     /// density ([`MatrixStorage::select`], pinnable via
     /// `ABS_FORCE_DENSE` / `ABS_FORCE_SPARSE`): sparse instances are
     /// converted to CSR and every block runs the O(degree) flip tier.
-    /// On the dense arm the Δ accumulator width is then picked: blocks
-    /// use narrow `i32` accumulators whenever the problem's Δ bound
-    /// fits (always true for i16 weights at the supported sizes),
-    /// falling back to `i64` otherwise, and the flip kernel is detected
-    /// once per run ([`FlipKernel::detect`]) and shared by every block.
-    /// Both choices are published in global memory
+    /// On the dense arm blocks use narrow `i32` Δ accumulators: every
+    /// constructible problem's Δ bound fits them ([`qubo::MAX_BITS`]
+    /// pins that at compile time, and the tracker constructor asserts
+    /// it). The flip kernel is detected once per run
+    /// ([`FlipKernel::detect`]) and shared by every block. Both choices
+    /// are published in global memory
     /// ([`GlobalMem::matrix_storage_name`],
     /// [`GlobalMem::flip_kernel_name`]) for host telemetry. The flip
-    /// trajectories are identical for every storage/width/kernel
-    /// combination.
+    /// trajectories are identical for every storage/kernel combination.
     pub fn run(&self, qubo: &Qubo) {
         match MatrixStorage::select(qubo) {
             MatrixStorage::Sparse => {
@@ -242,19 +241,11 @@ impl Device {
             }
             MatrixStorage::Dense => {
                 self.mem.set_matrix_storage(MatrixStorage::Dense);
-                if DeltaTracker::<i32>::fits(qubo) {
-                    let kernel = FlipKernel::detect();
-                    self.mem.set_flip_kernel(kernel);
-                    self.run_blocks(qubo.n(), kernel, |c| {
-                        BlockRunner::<DeltaTracker<'_, i32>>::with_width(qubo, c)
-                    });
-                } else {
-                    // Wide accumulators have no SIMD arm: record the truth.
-                    self.mem.set_flip_kernel(FlipKernel::Scalar);
-                    self.run_blocks(qubo.n(), FlipKernel::Scalar, |c| {
-                        BlockRunner::<DeltaTracker<'_, i64>>::with_width(qubo, c)
-                    });
-                }
+                let kernel = FlipKernel::detect();
+                self.mem.set_flip_kernel(kernel);
+                self.run_blocks(qubo.n(), kernel, |c| {
+                    BlockRunner::<DeltaTracker<'_, i32>>::with_width(qubo, c)
+                });
             }
         }
         if !self.mem.stopped() {
@@ -426,6 +417,20 @@ mod tests {
         Qubo::random(n, &mut rng)
     }
 
+    /// Spins until `cond` holds or `timeout` elapses; returns whether it
+    /// held. Tests that wait on a device event use this so a slow
+    /// scheduler delays them instead of failing them.
+    fn wait_for(timeout: std::time::Duration, cond: impl Fn() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + timeout;
+        while !cond() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
     fn small_config(blocks: usize, workers: usize) -> DeviceConfig {
         DeviceConfig {
             blocks_override: Some(blocks),
@@ -587,14 +592,19 @@ mod tests {
         cfg.fault = Some(Arc::new(FaultPlan::new().panic_block(0, 1, 2)));
         let d = Device::new(cfg);
         let mem = Arc::clone(d.mem());
-        std::thread::scope(|s| {
+        let timeout = std::time::Duration::from_secs(60);
+        let (died, kept_running) = std::thread::scope(|s| {
             s.spawn(|| d.run(&q));
-            // Long past the injected death, results keep flowing.
-            while mem.counter() < 40 {
-                std::thread::yield_now();
-            }
+            // Wait for the injected death itself, then for the
+            // survivors to post further records after it.
+            let died = wait_for(timeout, || mem.health().dead_blocks() == 1);
+            let after_death = mem.counter();
+            let kept_running = died && wait_for(timeout, || mem.counter() >= after_death + 8);
             mem.request_stop();
+            (died, kept_running)
         });
+        assert!(died, "block 1 was never quarantined");
+        assert!(kept_running, "survivors stopped posting records");
         use crate::health::HealthStatus;
         assert_eq!(
             mem.health().status(),

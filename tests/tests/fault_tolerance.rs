@@ -3,7 +3,9 @@
 //! in degraded mode with exact results and deterministic fault
 //! accounting.
 
-use abs::{Abs, AbsConfig, AbsError, DeviceStatus, SolveResult, StopCondition};
+use abs::{
+    Abs, AbsConfig, AbsError, AbsSession, DeviceStatus, SessionStatus, SolveResult, StopCondition,
+};
 use qubo::Qubo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,17 +35,33 @@ fn acceptance_config() -> AbsConfig {
             .corrupt_record(0, 1, 1, Corruption::WrongLength)
             .corrupt_record(0, 0, 1, Corruption::WrongEnergy),
     ));
-    cfg.watchdog.stall_poll_rounds = 10;
+    // Enough stale rounds that a healthy device the scheduler parks for
+    // a few time slices is not mistaken for the stalled one, yet few
+    // enough that device 2 is caught well inside the deadline.
+    cfg.watchdog.stall_poll_rounds = 1_000;
     cfg.watchdog.hard_timeout = Some(Duration::from_secs(60));
-    cfg.stop = StopCondition::timeout(Duration::from_millis(500));
+    cfg.stop = StopCondition::timeout(Duration::from_secs(60));
     cfg
 }
 
+/// Runs the acceptance scenario until every injected failure has shown
+/// its effect — device 1's quarantine, device 2's exclusion (its 6
+/// targets requeued), both corrupted records rejected — then stops.
+/// The 60 s stop is only the deadline.
 fn run_acceptance(q: &Qubo) -> SolveResult {
-    Abs::new(acceptance_config())
-        .expect("valid config")
-        .solve(q)
-        .expect("degraded solve must still complete")
+    let mut session = AbsSession::start(acceptance_config(), q).expect("valid config");
+    while session.poll().expect("degraded solve must keep running") == SessionStatus::Running {
+        let m = session.metrics_snapshot();
+        if m.counter_total("abs_dead_blocks_total") >= 1
+            && m.counter_total("abs_requeued_targets_total") >= 6
+            && m.counter_total("abs_rejected_records_total")
+                + m.counter_total("abs_host_rejected_total")
+                >= 2
+        {
+            break;
+        }
+    }
+    session.stop().expect("degraded solve must still complete")
 }
 
 #[test]

@@ -1,21 +1,22 @@
-//! Property-based equivalence tests for the SIMD flip tier: the lane-wise
-//! kernel (and its AVX2 / AVX-512 specializations, where the host
-//! supports them) must be bit-for-bit indistinguishable from the scalar
-//! fused `i32` path and from the O(n) definition
-//! `Δ_k(X) = E(flip_k(X)) − E(X)` it maintains.
+//! Property-based equivalence tests for the flip kernel arms: the
+//! AVX-512 arm (where the host supports it) must be bit-for-bit
+//! indistinguishable from the scalar fused `i32` path, from the `i64`
+//! reference tracker, and from the O(n) definition
+//! `Δ_k(X) = E(flip_k(X)) − E(X)` they maintain.
 //!
 //! The suite is kernel-explicit: every arm is constructed by name via
 //! `DeltaTracker::with_kernel`, so running it with `ABS_FORCE_SCALAR=1`
-//! (the CI weekly job does) still exercises both dispatch arms — only
-//! the `detect()`-based default changes.
+//! (the CI weekly job does) still exercises both arms — only the
+//! `detect()`-based default changes.
 
 use proptest::prelude::*;
 use qubo::Qubo;
 use qubo_search::{DeltaTracker, FlipKernel};
 
 /// Strategy: a small random symmetric QUBO with full-range i16 weights.
-/// Sizes deliberately straddle the 8-wide chunk boundary (lane-multiple
-/// and non-multiple `n`) so the masked tail path is always exercised.
+/// Sizes deliberately straddle the 16-lane AVX-512 chunk and the
+/// 32-lane padded row (lane-multiple and non-multiple `n`), so the
+/// padded sentinel entries are always in play.
 fn arb_qubo(max_n: usize) -> impl Strategy<Value = Qubo> {
     (2..=max_n).prop_flat_map(|n| {
         proptest::collection::vec(i16::MIN..=i16::MAX, n * (n + 1) / 2).prop_map(move |tri| {
@@ -31,22 +32,14 @@ fn arb_qubo(max_n: usize) -> impl Strategy<Value = Qubo> {
     })
 }
 
-/// The kernel arms available on this host: the portable pair always,
-/// plus the intrinsic arms the CPU supports (checked directly, so the
-/// suite covers them even when `detect()` is pinned by
-/// `ABS_FORCE_SCALAR` or prefers a different arm).
+/// The kernel arms available on this host: Scalar always, plus AVX-512
+/// when the CPU supports it (checked directly, so the suite covers it
+/// even when `detect()` is pinned by `ABS_FORCE_SCALAR`).
 fn arms() -> Vec<FlipKernel> {
-    let mut v = vec![FlipKernel::Scalar, FlipKernel::Lanes];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(FlipKernel::Avx2);
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                v.push(FlipKernel::Avx512);
-            }
-        }
-    }
-    v
+    [FlipKernel::Scalar, FlipKernel::Avx512]
+        .into_iter()
+        .filter(|k| k.is_supported())
+        .collect()
 }
 
 proptest! {
@@ -93,7 +86,7 @@ proptest! {
         }
     }
 
-    /// The SIMD arms against the definition directly: after a walk, each
+    /// Every arm against the definition directly: after a walk, each
     /// maintained Δ entry equals the naive `E(flip_k(X)) − E(X)` recompute
     /// (the same oracle `naive.rs`'s Algorithm 2 evaluates per flip).
     #[test]
@@ -116,12 +109,12 @@ proptest! {
         }
     }
 
-    /// Tail handling around the chunk width: for `n` spanning one full
-    /// 8-lane chunk ±2, all arms agree with the wide scalar reference
-    /// (the masked tail bits and padded sentinel entries must be inert).
+    /// Tail handling around the chunk width: for `n` spanning half to
+    /// more than one 16-lane AVX-512 chunk, all arms agree with the wide
+    /// scalar reference (the padded sentinel entries must be inert).
     #[test]
     fn non_lane_multiple_sizes_keep_arms_identical(
-        n in 6usize..=10,
+        n in 6usize..=18,
         seed in any::<u64>(),
         weights in proptest::collection::vec(i16::MIN..=i16::MAX, 55),
     ) {
@@ -155,8 +148,8 @@ proptest! {
 
 /// The `delta_bound` i32 boundary: a dense max-magnitude problem drives
 /// every Δ to the extreme of the construction-checked bound; the ±2W
-/// branchless increments must stay exact there in every arm (no
-/// intermediate wrap in `(w2 ^ m) - m`).
+/// increments must stay exact there in every arm (including the
+/// AVX-512 arm's wrapping pre-bias of the flipped lane).
 #[test]
 fn extreme_weights_at_the_delta_bound_stay_exact() {
     for n in [8usize, 31, 33] {
@@ -196,12 +189,23 @@ fn extreme_weights_at_the_delta_bound_stay_exact() {
 
 /// `ABS_FORCE_SCALAR` pins runtime dispatch to the scalar arm — the CI
 /// weekly job sets it and re-runs this whole suite, so both dispatch
-/// outcomes stay covered by the same tests.
+/// outcomes stay covered by the same tests. Unforced, detection picks
+/// AVX-512 exactly when the CPU reports `avx512f` and `avx2`.
 #[test]
 fn forced_scalar_pins_detection() {
     if std::env::var("ABS_FORCE_SCALAR").is_ok_and(|v| !v.is_empty()) {
         assert_eq!(FlipKernel::detect(), FlipKernel::Scalar);
     } else {
-        assert_ne!(FlipKernel::detect(), FlipKernel::Scalar);
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        let want = if avx512 {
+            FlipKernel::Avx512
+        } else {
+            FlipKernel::Scalar
+        };
+        assert_eq!(FlipKernel::detect(), want);
     }
 }
