@@ -24,7 +24,7 @@
 use criterion::{Bencher, BenchmarkId, Criterion, Throughput};
 use qubo::{BitVec, Qubo};
 use qubo_problems::random;
-use qubo_search::{DeltaAcc, DeltaTracker, FlipKernel, SelectionPolicy, WindowMinPolicy};
+use qubo_search::{DeltaAcc, DeltaTracker, FlipKernel, WindowMinPolicy};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -124,10 +124,10 @@ fn bench_fused<A: DeltaAcc>(b: &mut Bencher<'_>, q: &Qubo, window: usize, kernel
     let n = q.n();
     let mut t = DeltaTracker::<A>::with_kernel(q, kernel);
     let mut p = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<A>::next_window(&mut p, n).expect("window policy");
+    let (a, l) = p.next_window(n);
     let mut k = t.select_in_window(a, l);
     b.iter(|| {
-        let (a, l) = SelectionPolicy::<A>::next_window(&mut p, n).expect("window policy");
+        let (a, l) = p.next_window(n);
         k = t.flip_select(black_box(k), (a, l));
     });
 }
@@ -224,7 +224,7 @@ fn sanity_check() {
         let mut t = DeltaTracker::<A>::with_kernel(q, kernel);
         let mut p = WindowMinPolicy::new(window);
         for _ in 0..flips {
-            let (a, l) = SelectionPolicy::<A>::next_window(&mut p, q.n()).expect("window");
+            let (a, l) = p.next_window(q.n());
             let k = t.select_in_window(a, l);
             t.flip(k);
         }

@@ -31,9 +31,7 @@
 use criterion::{Bencher, BenchmarkId, Criterion, Throughput};
 use qubo::{CouplingMatrix, Qubo, SparseQubo};
 use qubo_problems::random;
-use qubo_search::{
-    DeltaTracker, FlipKernel, SearchTracker, SelectionPolicy, SparseDeltaTracker, WindowMinPolicy,
-};
+use qubo_search::{DeltaTracker, FlipKernel, SearchTracker, SparseDeltaTracker, WindowMinPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -102,10 +100,10 @@ fn sweep_instance(n: usize, per_mille: u64, seed: u64) -> Qubo {
 fn bench_tracker<T: SearchTracker>(b: &mut Bencher<'_>, t: &mut T, window: usize) {
     let n = t.n();
     let mut p = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<T::Acc>::next_window(&mut p, n).expect("window policy");
+    let (a, l) = p.next_window(n);
     let mut k = t.select_in_window(a, l);
     b.iter(|| {
-        let (a, l) = SelectionPolicy::<T::Acc>::next_window(&mut p, n).expect("window policy");
+        let (a, l) = p.next_window(n);
         k = t.flip_select(black_box(k), (a, l));
     });
 }
@@ -167,15 +165,15 @@ fn sanity_check(q: &Qubo, s: &SparseQubo) {
     let mut sparse = SparseDeltaTracker::new(s);
     let mut pd = WindowMinPolicy::new(window);
     let mut ps = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<i32>::next_window(&mut pd, q.n()).expect("window");
+    let (a, l) = pd.next_window(q.n());
     let mut kd = dense.select_in_window(a, l);
-    let (a, l) = SelectionPolicy::<i64>::next_window(&mut ps, q.n()).expect("window");
+    let (a, l) = ps.next_window(q.n());
     let mut ks = sparse.select_in_window(a, l);
     assert_eq!(kd, ks, "initial selection diverged");
     for _ in 0..steps {
-        let (a, l) = SelectionPolicy::<i32>::next_window(&mut pd, q.n()).expect("window");
+        let (a, l) = pd.next_window(q.n());
         kd = dense.flip_select(kd, (a, l));
-        let (a, l) = SelectionPolicy::<i64>::next_window(&mut ps, q.n()).expect("window");
+        let (a, l) = ps.next_window(q.n());
         ks = sparse.flip_select(ks, (a, l));
         assert_eq!(kd, ks, "selection diverged");
     }

@@ -25,7 +25,7 @@ EXPERIMENTS:
     table3      cross-system comparison
     efficiency  Lemmas 1–3 / Theorem 1 measured search efficiency
     baselines   ABS vs SA/tabu/greedy/random at matched wall-clock
-    ablation    window / GA-mix / pool-size / adaptive / policy sweeps
+    ablation    window / GA-mix / pool-size / adaptive sweeps
     all         everything above
 
 OPTIONS:

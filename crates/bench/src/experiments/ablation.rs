@@ -173,51 +173,6 @@ pub fn adaptive(scale: Scale, out: &Path, rows: &mut Vec<AblationRow>) {
     let _ = out;
 }
 
-/// Heterogeneous per-block algorithms (future work §5): the paper's
-/// all-window device vs a device cycling window/greedy/random/
-/// Metropolis blocks.
-pub fn policy_mix(scale: Scale, out: &Path, rows: &mut Vec<AblationRow>) {
-    let n = 512;
-    let q = random::generate(n, 31);
-    let budget = scale.steps(300_000);
-    let temp = q.energy_bound() as f64 / n as f64;
-    let mut t = Table::new(
-        "Ablation — heterogeneous block algorithms (future work §5; n = 512)",
-        &["Device composition", "Best energy"],
-    );
-    let mixes: Vec<(&str, Vec<vgpu::PolicyKind>)> = vec![
-        ("all window (paper)", vec![]),
-        ("all greedy", vec![vgpu::PolicyKind::Greedy]),
-        ("all random", vec![vgpu::PolicyKind::Random]),
-        (
-            "mixed (window/greedy/random/metropolis)",
-            vec![
-                vgpu::PolicyKind::Window,
-                vgpu::PolicyKind::Greedy,
-                vgpu::PolicyKind::Random,
-                vgpu::PolicyKind::Metropolis {
-                    temperature: temp,
-                    cooling: 0.9999,
-                },
-            ],
-        ),
-    ];
-    for (name, mix) in mixes {
-        let mut cfg = report_config(8, 60_000);
-        cfg.machine.device.policy_mix = mix;
-        cfg.stop = StopCondition::flips(budget);
-        let r = run(&q, cfg);
-        t.push_row(&[name.into(), r.best_energy.to_string()]);
-        rows.push(AblationRow {
-            dimension: "policy_mix".into(),
-            value: name.into(),
-            best_energy: r.best_energy,
-        });
-    }
-    println!("{}", t.render());
-    let _ = out;
-}
-
 /// Runs every ablation and writes the combined JSON.
 pub fn all(scale: Scale, out: &Path) {
     let mut rows = Vec::new();
@@ -225,6 +180,5 @@ pub fn all(scale: Scale, out: &Path) {
     ga_mix(scale, out, &mut rows);
     pool(scale, out, &mut rows);
     adaptive(scale, out, &mut rows);
-    policy_mix(scale, out, &mut rows);
     write_json(out, "ablation", &rows);
 }

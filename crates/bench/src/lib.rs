@@ -13,7 +13,7 @@
 //! | `table3`    | Table 3: cross-system comparison |
 //! | `efficiency`| Lemmas 1–3 / Theorem 1: measured search efficiency |
 //! | `baselines` | ABS vs SA/tabu/greedy/random at matched wall-clock |
-//! | `ablation`  | window / GA mix / pool / adaptive / policy-mix sweeps |
+//! | `ablation`  | window / GA mix / pool / adaptive sweeps |
 //! | `all`       | everything above |
 //!
 //! Each experiment prints a Markdown table with paper-reference columns

@@ -258,8 +258,8 @@ impl AbsConfig {
     ///
     /// # Errors
     /// Returns [`AbsError::InvalidConfig`] on an unbounded stop
-    /// condition, an empty pool, an invalid GA mix, or a device-less
-    /// machine.
+    /// condition, an empty pool, an invalid GA mix, a device-less
+    /// machine, or an empty window cycle.
     pub fn validate(&self) -> Result<(), AbsError> {
         if !self.stop.is_bounded() {
             return Err(AbsError::InvalidConfig("stop condition must be bounded"));
@@ -272,6 +272,11 @@ impl AbsConfig {
         self.ga.check().map_err(AbsError::InvalidConfig)?;
         if self.machine.num_devices == 0 {
             return Err(AbsError::InvalidConfig("machine needs at least one device"));
+        }
+        if matches!(&self.machine.device.windows, WindowSchedule::Cycle(ls) if ls.is_empty()) {
+            return Err(AbsError::InvalidConfig(
+                "window cycle needs at least one length",
+            ));
         }
         if self.checkpoint.out.is_some() && self.checkpoint.keep == 0 {
             return Err(AbsError::InvalidConfig(
@@ -314,6 +319,17 @@ mod tests {
         c.stop = StopCondition::flips(100);
         c.machine.num_devices = 0;
         assert!(matches!(c.validate(), Err(AbsError::InvalidConfig(_))));
+        // An empty cycle would panic in every device worker while its
+        // blocks are built, before any block's panic isolation exists.
+        let mut c = AbsConfig::small();
+        c.stop = StopCondition::flips(100);
+        c.machine.device.windows = WindowSchedule::Cycle(vec![]);
+        assert_eq!(
+            c.validate(),
+            Err(AbsError::InvalidConfig(
+                "window cycle needs at least one length"
+            ))
+        );
     }
 
     #[test]

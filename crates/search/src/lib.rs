@@ -10,9 +10,9 @@
 //!
 //! On top of the tracker this crate provides:
 //!
-//! * [`policy`] — bit-selection policies for the forced-flip local search
-//!   (Algorithm 4), including the paper's deterministic sliding-window
-//!   minimum policy (Fig. 2).
+//! * [`policy`] — the bit-selection policy of the forced-flip local
+//!   search (Algorithm 4): the paper's deterministic sliding-window
+//!   minimum (Fig. 2).
 //! * [`local`] — the forced-flip local search driver.
 //! * [`straight`] — the straight search from a known solution to a target
 //!   (Algorithm 5, Fig. 3).
@@ -28,8 +28,8 @@
 //! The flip hot path is *fused* (one Δ-vector traversal per flip): the
 //! Eq. (16) update, the Theorem 1 best-neighbour min, and — through
 //! [`DeltaTracker::flip_select`] — the next window selection all run in
-//! the same pass. [`local_search`] uses the fused path automatically for
-//! any policy implementing [`SelectionPolicy::next_window`].
+//! the same pass. [`local_search`] always runs the fused path, fed by
+//! [`WindowMinPolicy::next_window`].
 //!
 //! On top of the fusion sits an AVX-512 tier ([`simd`]): for `i32`
 //! accumulators on a CPU with `avx512f`, the fused pass runs in 16-lane
@@ -88,9 +88,7 @@ pub mod tracker;
 
 pub use acc::DeltaAcc;
 pub use local::local_search;
-pub use policy::{
-    window_argmin, GreedyPolicy, MetropolisPolicy, RandomPolicy, SelectionPolicy, WindowMinPolicy,
-};
+pub use policy::{window_argmin, WindowMinPolicy};
 pub use simd::FlipKernel;
 pub use sparse::SparseDeltaTracker;
 pub use straight::straight_search;

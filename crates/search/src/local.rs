@@ -1,26 +1,23 @@
 //! The forced-flip local search driver (second loop of Algorithm 4).
 
-use crate::policy::SelectionPolicy;
+use crate::policy::WindowMinPolicy;
 use crate::tracker::SearchTracker;
 
 /// Runs `steps` forced flips from the tracker's current solution, choosing
-/// each bit with `policy`. Returns the number of flips performed
-/// (always `steps`; the count is returned for symmetry with
+/// each bit with the window `policy`. Returns the number of flips
+/// performed (always `steps`; the count is returned for symmetry with
 /// [`crate::straight_search`], whose length is data-dependent).
 ///
 /// Best-solution tracking happens inside the tracker: every flip
 /// evaluates all `n` neighbours of the new solution (Theorem 1), so the
 /// search may discover — and record — solutions it never visits.
 ///
-/// When the policy exposes its windows via
-/// [`SelectionPolicy::next_window`] (the paper's window policy and the
-/// greedy policy do), the loop runs *fused*: each step is one
+/// The loop runs *fused*: the policy hands out its windows
+/// ([`WindowMinPolicy::next_window`]) and each step is one
 /// [`SearchTracker::flip_select`] call, so the flip's Δ-update pass and
 /// the next selection's window scan touch the Δ vector while it is hot,
-/// and no full second traversal happens per flip. Policies without
-/// windows (random, Metropolis) fall back to the classic
-/// select-then-flip pair. The chosen flip sequence is bit-for-bit
-/// identical either way.
+/// and no full second traversal happens per flip. The chosen flip
+/// sequence is bit-for-bit identical to the select-then-flip pair.
 ///
 /// Generic over [`SearchTracker`], so the same driver runs the dense
 /// SIMD arm and the CSR O(degree) arm — both monomorphize to direct
@@ -30,9 +27,9 @@ use crate::tracker::SearchTracker;
 /// iteration (Step 4b), so that the resulting solution `C'` is a valid
 /// known starting point for the next straight search and the O(1) search
 /// efficiency is preserved across iterations (Fig. 4).
-pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy<T::Acc> + ?Sized>(
+pub fn local_search<T: SearchTracker + ?Sized>(
     tracker: &mut T,
-    policy: &mut P,
+    policy: &mut WindowMinPolicy,
     steps: usize,
 ) -> u64 {
     if steps == 0 {
@@ -42,18 +39,10 @@ pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy<T::Acc> + ?Siz
     // Steady state holds one *pending* flip `k`: each iteration commits
     // it fused with the next selection. The first selection has no
     // pending flip and the last flip has no next selection.
-    let mut k = match policy.next_window(n) {
-        Some((a, l)) => tracker.select_in_window(a, l),
-        None => policy.select(tracker.deltas(), tracker.x()),
-    };
+    let (a, l) = policy.next_window(n);
+    let mut k = tracker.select_in_window(a, l);
     for _ in 1..steps {
-        k = match policy.next_window(n) {
-            Some((a, l)) => tracker.flip_select(k, (a, l)),
-            None => {
-                tracker.flip(k);
-                policy.select(tracker.deltas(), tracker.x())
-            }
-        };
+        k = tracker.flip_select(k, policy.next_window(n));
     }
     tracker.flip(k);
     steps as u64
@@ -63,7 +52,6 @@ pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy<T::Acc> + ?Siz
 mod tests {
     use super::*;
     use crate::acc::DeltaAcc;
-    use crate::policy::{GreedyPolicy, MetropolisPolicy, RandomPolicy, WindowMinPolicy};
     use crate::tracker::DeltaTracker;
     use qubo::{BitVec, Qubo};
     use rand::rngs::StdRng;
@@ -91,7 +79,7 @@ mod tests {
         // 1-flip optimal once enough steps have run.
         let q = random_qubo(16, 2);
         let mut t = DeltaTracker::new(&q);
-        let mut p = GreedyPolicy;
+        let mut p = WindowMinPolicy::new(16); // ℓ = n: greedy
         local_search(&mut t, &mut p, 400);
         let (bx, be) = t.best();
         assert_eq!(be, q.energy(bx));
@@ -132,20 +120,20 @@ mod tests {
         let q = random_qubo(8, 5);
         let mut t = DeltaTracker::new(&q);
         let before = t.x().clone();
-        let mut p = GreedyPolicy;
+        let mut p = WindowMinPolicy::new(8);
         assert_eq!(local_search(&mut t, &mut p, 0), 0);
         assert_eq!(t.x(), &before);
     }
 
     /// The seed-era driver, kept as the reference for trajectory
-    /// equivalence: select with the policy's two-call API, then flip.
-    fn reference_local_search<A: DeltaAcc, P: SelectionPolicy<A>>(
+    /// equivalence: select with the policy, then flip.
+    fn reference_local_search<A: DeltaAcc>(
         tracker: &mut DeltaTracker<'_, A>,
-        policy: &mut P,
+        policy: &mut WindowMinPolicy,
         steps: usize,
     ) {
         for _ in 0..steps {
-            let k = policy.select(tracker.deltas(), tracker.x());
+            let k = policy.select(tracker.deltas());
             tracker.flip(k);
         }
     }
@@ -178,23 +166,11 @@ mod tests {
     fn fused_driver_matches_reference_for_greedy() {
         let q = random_qubo(32, 20);
         let mut tf = DeltaTracker::new(&q);
-        local_search(&mut tf, &mut GreedyPolicy, 200);
+        local_search(&mut tf, &mut WindowMinPolicy::new(32), 200);
         let mut tr = DeltaTracker::new(&q);
-        reference_local_search(&mut tr, &mut GreedyPolicy, 200);
+        reference_local_search(&mut tr, &mut WindowMinPolicy::new(32), 200);
         assert_eq!(tf.x(), tr.x());
         assert_eq!(tf.best().1, tr.best().1);
-    }
-
-    #[test]
-    fn windowless_policies_still_run_and_verify() {
-        let q = random_qubo(24, 30);
-        let mut t = DeltaTracker::new(&q);
-        assert_eq!(local_search(&mut t, &mut RandomPolicy::new(9), 100), 100);
-        t.verify();
-        let mut t2 = DeltaTracker::new(&q);
-        let mut mp = MetropolisPolicy::new(50.0, 0.99, 9);
-        assert_eq!(local_search(&mut t2, &mut mp, 100), 100);
-        t2.verify();
     }
 
     #[test]

@@ -1,56 +1,20 @@
-//! Bit-selection policies for the forced-flip local search.
+//! The bit-selection policy of the forced-flip local search.
 //!
 //! Algorithm 4 flips exactly one bit per iteration and leaves the choice
-//! of *which* bit to an arbitrary policy. The paper's production policy
-//! (Fig. 2) is deterministic: extract `ℓ` consecutive bits starting at a
-//! moving offset, flip the one with minimum `Δ`, advance the offset by
-//! `ℓ` (mod n). The window length plays the role of an inverse
+//! of *which* bit to a policy. The paper's device kernel has one, and so
+//! does this crate: the deterministic sliding-window minimum (Fig. 2).
+//! Extract `ℓ` consecutive bits starting at a moving offset, flip the
+//! one with minimum `Δ`, advance the offset by `ℓ` (mod n). The window length plays the role of an inverse
 //! temperature — `ℓ = n` is a greedy search, `ℓ = 1` is a blind sweep —
 //! and different search units run different `ℓ` like parallel tempering.
 //!
-//! Policies whose choice is "the min-Δ index in some window" can expose
-//! the window itself through [`SelectionPolicy::next_window`] instead of
-//! scanning; the fused driver then folds the scan into the flip
+//! The window policy exposes each window through
+//! [`WindowMinPolicy::next_window`] instead of scanning; the fused
+//! driver then folds the scan into the flip
 //! ([`crate::DeltaTracker::flip_select`]) so each local-search step
 //! traverses the Δ vector exactly once.
 
 use crate::acc::DeltaAcc;
-use qubo::BitVec;
-// abs-lint: allow(device-no-rand) -- RandomPolicy/MetropolisPolicy only: documented deviations from the Fig. 2 kernel (DESIGN.md); the window policies consume no randomness
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-/// A policy choosing the next bit to flip given the current Δ vector.
-///
-/// Implementations must return an index `< deltas.len()` and must always
-/// return *some* index: the forced flip is what keeps the flips-per-second
-/// (and therefore the search rate) constant even near local minima.
-///
-/// The parameter `A` is the Δ accumulator width of the tracker being
-/// driven (default `i64`); deterministic policies are width-oblivious and
-/// implement the trait for every width.
-pub trait SelectionPolicy<A: DeltaAcc = i64>: Send {
-    /// Selects the bit to flip.
-    fn select(&mut self, deltas: &[A], x: &BitVec) -> usize;
-
-    /// If the next selection is "argmin Δ over a circular window", returns
-    /// that window as `(start, len)` and advances internal state as if
-    /// [`select`] had run. The caller then owes exactly one selection,
-    /// performed via [`crate::DeltaTracker::flip_select`] or
-    /// [`crate::DeltaTracker::select_in_window`] — i.e. this *replaces*
-    /// the next `select` call, it does not precede one.
-    ///
-    /// Returns `None` (the default) for policies that need the Δ values
-    /// or randomness to decide; those keep the two-call select-then-flip
-    /// protocol.
-    ///
-    /// [`select`]: SelectionPolicy::select
-    fn next_window(&mut self, _n: usize) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Resets internal state (offset; RNG stream position is kept).
-    fn reset(&mut self) {}
-}
 
 /// Index of the minimum value inside the circular window of length `len`
 /// starting at `start`, over `deltas` of length `n`.
@@ -162,15 +126,26 @@ impl WindowMinPolicy {
         self.offset
     }
 
-    /// Rewinds the offset to 0 (inherent mirror of the trait `reset`, so
-    /// concrete call sites need no width annotation).
+    /// Rewinds the offset to 0.
     pub fn reset(&mut self) {
         self.offset = 0;
     }
 
-    /// The shared advance step: normalizes `(a, ℓ)` for an `n`-bit
-    /// problem and moves the offset past the window.
-    fn advance(&mut self, n: usize) -> (usize, usize) {
+    /// Selects the bit to flip: the min-Δ index of the current window,
+    /// advancing the offset past it. Always returns *some* index: the
+    /// forced flip keeps the search rate constant even near local minima.
+    pub fn select<A: DeltaAcc>(&mut self, deltas: &[A]) -> usize {
+        let (a, l) = self.next_window(deltas.len());
+        window_argmin(deltas, a, l)
+    }
+
+    /// Returns the next window as `(start, len)`, normalized for an
+    /// `n`-bit problem, and advances the offset past it as if
+    /// [`WindowMinPolicy::select`] had run. The caller then owes exactly
+    /// one selection, performed via [`crate::DeltaTracker::flip_select`]
+    /// or [`crate::DeltaTracker::select_in_window`] — i.e. this
+    /// *replaces* the next `select` call, it does not precede one.
+    pub fn next_window(&mut self, n: usize) -> (usize, usize) {
         let l = self.window.min(n);
         let a = self.offset % n;
         self.offset = (a + l) % n;
@@ -178,130 +153,9 @@ impl WindowMinPolicy {
     }
 }
 
-impl<A: DeltaAcc> SelectionPolicy<A> for WindowMinPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
-        let (a, l) = self.advance(deltas.len());
-        window_argmin(deltas, a, l)
-    }
-
-    fn next_window(&mut self, n: usize) -> Option<(usize, usize)> {
-        Some(self.advance(n))
-    }
-
-    fn reset(&mut self) {
-        WindowMinPolicy::reset(self);
-    }
-}
-
-/// Greedy policy: always flips the global minimum-Δ bit
-/// (`WindowMinPolicy` with `ℓ = n`, written directly for clarity).
-#[derive(Clone, Debug, Default)]
-pub struct GreedyPolicy;
-
-impl<A: DeltaAcc> SelectionPolicy<A> for GreedyPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
-        deltas
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &d)| d)
-            .map(|(i, _)| i)
-            // abs-lint: allow(no-unwrap) -- SelectionPolicy contract: deltas has n ≥ 1 entries
-            .expect("non-empty problem")
-    }
-
-    fn next_window(&mut self, n: usize) -> Option<(usize, usize)> {
-        // Full-vector window: `min_by_key` and `window_argmin` both take
-        // the first occurrence on ties.
-        Some((0, n))
-    }
-}
-
-/// Uniformly random bit choice (the `ℓ = 1` temperature extreme, but with
-/// a random rather than sweeping position).
-#[derive(Clone, Debug)]
-pub struct RandomPolicy {
-    rng: SmallRng,
-}
-
-impl RandomPolicy {
-    /// Creates the policy with a deterministic seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<A: DeltaAcc> SelectionPolicy<A> for RandomPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
-        self.rng.gen_range(0..deltas.len())
-    }
-}
-
-/// Metropolis acceptance adapted to the forced-flip framework: sample a
-/// random bit, accept it if `Δ ≤ 0` or with probability `exp(−Δ / t)`
-/// (Eq. (7)); retry up to `max_tries` times, then flip the last sample
-/// unconditionally (the framework must flip *something* every
-/// iteration — this deviation from classical SA is documented in
-/// DESIGN.md).
-#[derive(Clone, Debug)]
-pub struct MetropolisPolicy {
-    rng: SmallRng,
-    /// Temperature `k_B · t` in energy units.
-    // abs-lint: allow(device-no-float) -- Metropolis deviation (Eq. 7), not the window kernel
-    pub temperature: f64,
-    /// Cooling multiplier applied once per selection (geometric schedule);
-    /// set to 1.0 for a constant temperature.
-    // abs-lint: allow(device-no-float) -- Metropolis deviation (Eq. 7), not the window kernel
-    pub cooling: f64,
-    max_tries: u32,
-}
-
-impl MetropolisPolicy {
-    /// Creates the policy with the given temperature and seed.
-    #[must_use]
-    // abs-lint: allow(device-no-float) -- Metropolis deviation (Eq. 7), not the window kernel
-    pub fn new(temperature: f64, cooling: f64, seed: u64) -> Self {
-        Self {
-            rng: SmallRng::seed_from_u64(seed),
-            temperature,
-            cooling,
-            max_tries: 16,
-        }
-    }
-}
-
-impl<A: DeltaAcc> SelectionPolicy<A> for MetropolisPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
-        let n = deltas.len();
-        let mut k = 0;
-        for _ in 0..self.max_tries {
-            k = self.rng.gen_range(0..n);
-            // invariant: k < n = deltas.len() by the gen_range bound.
-            let d = deltas[k].to_energy();
-            if d <= 0 {
-                break;
-            }
-            // abs-lint: allow(device-no-float) -- Eq. (7) acceptance probability; Metropolis deviation
-            let p = (-(d as f64) / self.temperature.max(f64::MIN_POSITIVE)).exp();
-            // abs-lint: allow(device-no-float) -- Eq. (7) acceptance sample; Metropolis deviation
-            if self.rng.gen::<f64>() < p {
-                break;
-            }
-        }
-        self.temperature *= self.cooling;
-        k
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bv(n: usize) -> BitVec {
-        BitVec::zeros(n)
-    }
 
     /// Reproduces the walkthrough of Fig. 2: a 16-bit vector, offset 4,
     /// window 4 — the minimum of (Δ4, Δ5, Δ6, Δ7) is Δ5, so bit 5 is
@@ -314,7 +168,7 @@ mod tests {
         deltas[6] = 2;
         deltas[7] = 9;
         let mut p = WindowMinPolicy::with_offset(4, 4);
-        let k = p.select(&deltas, &bv(16));
+        let k = p.select(&deltas);
         assert_eq!(k, 5);
         assert_eq!(p.offset(), 8);
     }
@@ -324,7 +178,7 @@ mod tests {
         let mut deltas = vec![10i64; 8];
         deltas[1] = -5; // inside the wrapped window [6, 7, 0, 1]
         let mut p = WindowMinPolicy::with_offset(4, 6);
-        assert_eq!(p.select(&deltas, &bv(8)), 1);
+        assert_eq!(p.select(&deltas), 1);
         assert_eq!(p.offset(), 2);
     }
 
@@ -336,7 +190,7 @@ mod tests {
         let mut offsets = Vec::new();
         for _ in 0..4 {
             offsets.push(p.offset());
-            p.select(&deltas, &bv(12));
+            p.select(&deltas);
         }
         assert_eq!(offsets, vec![0, 3, 6, 9]);
         assert_eq!(p.offset(), 0); // full sweep returns to start
@@ -346,7 +200,7 @@ mod tests {
     fn window_one_is_a_plain_sweep() {
         let deltas = vec![5i64; 4];
         let mut p = WindowMinPolicy::new(1);
-        let picks: Vec<usize> = (0..6).map(|_| p.select(&deltas, &bv(4))).collect();
+        let picks: Vec<usize> = (0..6).map(|_| p.select(&deltas)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1]);
     }
 
@@ -355,68 +209,29 @@ mod tests {
         let mut deltas = vec![9i64; 5];
         deltas[3] = -1;
         let mut p = WindowMinPolicy::new(100);
-        assert_eq!(p.select(&deltas, &bv(5)), 3);
+        assert_eq!(p.select(&deltas), 3);
     }
 
     #[test]
     fn greedy_finds_global_min() {
+        // ℓ = n is the greedy extreme of the temperature ladder.
         let deltas = vec![4i64, -2, 7, -9, 0];
-        let mut p = GreedyPolicy;
-        assert_eq!(p.select(&deltas, &bv(5)), 3);
+        let mut p = WindowMinPolicy::new(5);
+        assert_eq!(p.select(&deltas), 3);
     }
 
     #[test]
     fn greedy_ties_break_to_lowest_index() {
         let deltas = vec![1i64, -2, -2];
-        let mut p = GreedyPolicy;
-        assert_eq!(p.select(&deltas, &bv(3)), 1);
-    }
-
-    #[test]
-    fn random_policy_is_seed_deterministic_and_in_range() {
-        let deltas = vec![0i64; 10];
-        let mut a = RandomPolicy::new(5);
-        let mut b = RandomPolicy::new(5);
-        for _ in 0..50 {
-            let ka = a.select(&deltas, &bv(10));
-            assert_eq!(ka, b.select(&deltas, &bv(10)));
-            assert!(ka < 10);
-        }
-    }
-
-    #[test]
-    fn metropolis_prefers_downhill_at_low_temperature() {
-        let mut deltas = vec![1_000_000i64; 64];
-        deltas[7] = -1;
-        let mut p = MetropolisPolicy::new(1e-9, 1.0, 3);
-        // With a tiny temperature, uphill samples are rejected, so the
-        // policy keeps resampling (up to its retry budget) and lands on
-        // the lone downhill bit far more often than the uniform rate of
-        // 200/64 ≈ 3 (≈ 22 % per selection with 16 tries over 64 bits).
-        let mut hits = 0;
-        for _ in 0..200 {
-            if p.select(&deltas, &bv(64)) == 7 {
-                hits += 1;
-            }
-        }
-        assert!(hits > 20, "downhill picked only {hits}/200 times");
-    }
-
-    #[test]
-    fn metropolis_accepts_everything_at_huge_temperature() {
-        let deltas = vec![1i64; 16];
-        let mut p = MetropolisPolicy::new(1e12, 1.0, 4);
-        // Every first sample is accepted: behaves like RandomPolicy.
-        for _ in 0..50 {
-            assert!(p.select(&deltas, &bv(16)) < 16);
-        }
+        let mut p = WindowMinPolicy::new(3);
+        assert_eq!(p.select(&deltas), 1);
     }
 
     #[test]
     fn reset_rewinds_window_offset() {
         let deltas = vec![0i64; 6];
         let mut p = WindowMinPolicy::new(2);
-        p.select(&deltas, &bv(6));
+        p.select(&deltas);
         assert_eq!(p.offset(), 2);
         p.reset();
         assert_eq!(p.offset(), 0);
@@ -438,13 +253,21 @@ mod tests {
             }
             best_i
         }
-        use rand::rngs::StdRng;
-        let mut rng = StdRng::seed_from_u64(77);
+        // SplitMix64 draws in [0, bound): a seeded input stream that
+        // keeps this module free of RNG imports.
+        let mut state = 77u64;
+        let mut draw = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
         for n in [1usize, 2, 3, 7, 16, 33] {
             for _ in 0..200 {
-                let d: Vec<i64> = (0..n).map(|_| rng.gen_range(-4i64..4)).collect();
-                let a = rng.gen_range(0..n);
-                let l = rng.gen_range(1..=n + 2); // over-length clamps
+                let d: Vec<i64> = (0..n).map(|_| draw(8) as i64 - 4).collect();
+                let a = draw(n);
+                let l = 1 + draw(n + 2); // over-length clamps
                 assert_eq!(
                     window_argmin(&d, a, l),
                     reference(&d, a, l),
@@ -471,8 +294,8 @@ mod tests {
         let mut by_select = WindowMinPolicy::with_offset(3, 5);
         let mut by_window = by_select.clone();
         for _ in 0..20 {
-            let k1 = by_select.select(&deltas, &bv(8));
-            let (a, l) = SelectionPolicy::<i64>::next_window(&mut by_window, 8).unwrap();
+            let k1 = by_select.select(&deltas);
+            let (a, l) = by_window.next_window(8);
             assert_eq!(window_argmin(&deltas, a, l), k1);
             assert_eq!(by_select.offset(), by_window.offset());
         }
@@ -481,25 +304,11 @@ mod tests {
     #[test]
     fn greedy_window_is_the_full_vector() {
         let deltas = vec![4i64, -2, 7, -9, 0];
-        let mut g = GreedyPolicy;
-        let (a, l) = SelectionPolicy::<i64>::next_window(&mut g, 5).unwrap();
+        let mut by_window = WindowMinPolicy::new(5);
+        let mut by_select = by_window.clone();
+        let (a, l) = by_window.next_window(5);
         assert_eq!((a, l), (0, 5));
-        assert_eq!(
-            window_argmin(&deltas, a, l),
-            SelectionPolicy::<i64>::select(&mut g, &deltas, &bv(5))
-        );
-    }
-
-    #[test]
-    fn randomized_policies_expose_no_window() {
-        assert_eq!(
-            SelectionPolicy::<i64>::next_window(&mut RandomPolicy::new(1), 8),
-            None
-        );
-        assert_eq!(
-            SelectionPolicy::<i64>::next_window(&mut MetropolisPolicy::new(1.0, 1.0, 2), 8),
-            None
-        );
+        assert_eq!(window_argmin(&deltas, a, l), by_select.select(&deltas));
     }
 
     #[test]
@@ -509,11 +318,7 @@ mod tests {
         let mut pw = WindowMinPolicy::new(3);
         let mut pn = WindowMinPolicy::new(3);
         for _ in 0..8 {
-            assert_eq!(
-                pw.select(&wide, &bv(4)),
-                pn.select(&narrow, &bv(4)),
-                "widths diverged"
-            );
+            assert_eq!(pw.select(&wide), pn.select(&narrow), "widths diverged");
         }
     }
 }

@@ -414,9 +414,7 @@ impl<'a, A: DeltaAcc> DeltaTracker<'a, A> {
     /// index inside the *next* selection window `(start, len)` — i.e.
     /// `self.flip(k)` followed by [`DeltaTracker::select_in_window`],
     /// with the window scan running on just-written (cache-resident)
-    /// entries. [`crate::local_search`] drives this; policies that
-    /// cannot express their choice as a window (random, Metropolis) keep
-    /// the two-call `select` + `flip` API.
+    /// entries. [`crate::local_search`] drives this.
     pub fn flip_select(&mut self, k: usize, window: (usize, usize)) -> usize {
         self.flip_fused(k);
         self.select_in_window(window.0, window.1)

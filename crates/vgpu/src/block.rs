@@ -5,9 +5,8 @@ use crate::fault::InjectedPanic;
 use abs_telemetry::Event;
 use qubo::{Qubo, SparseQubo};
 use qubo_search::{
-    local_search, straight_search, DeltaAcc, DeltaTracker, FlipKernel, GreedyPolicy,
-    MetropolisPolicy, RandomPolicy, SearchTracker, SelectionPolicy, SparseDeltaTracker,
-    WindowMinPolicy,
+    local_search, straight_search, DeltaAcc, DeltaTracker, FlipKernel, SearchTracker,
+    SparseDeltaTracker, WindowMinPolicy,
 };
 
 /// How window lengths (the temperature analogue of the selection policy,
@@ -47,86 +46,15 @@ impl WindowSchedule {
     }
 }
 
-/// The local-search algorithm a block runs (§5 future work: "each CUDA
-/// block would perform different algorithms"). All kinds drive the same
-/// forced-flip loop; they differ in how the next bit is selected.
+/// The local-search algorithm a block runs. The paper's device kernel
+/// has exactly one, so this enum has one variant; it survives only as
+/// the type of [`BlockConfig::policy`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum PolicyKind {
     /// The paper's deterministic sliding-window minimum (Fig. 2), using
-    /// the block's configured window length and offset. The production
-    /// default: consumes no random numbers.
+    /// the block's configured window length and offset. Consumes no
+    /// random numbers.
     Window,
-    /// Global minimum-Δ flip (the ℓ = n extreme).
-    Greedy,
-    /// Uniform random bit flip (the ℓ = 1 extreme, randomized).
-    Random,
-    /// Metropolis acceptance in the forced-flip framework (Eq. (7)).
-    Metropolis {
-        /// Temperature `k_B·t` in energy units.
-        // abs-lint: allow(device-no-float) -- Metropolis variant config; the Window kernel is float-free
-        temperature: f64,
-        /// Per-selection geometric cooling factor (1.0 = constant).
-        // abs-lint: allow(device-no-float) -- Metropolis variant config; the Window kernel is float-free
-        cooling: f64,
-    },
-}
-
-/// Runtime policy state: one variant per [`PolicyKind`], enum-dispatched
-/// so a heterogeneous device needs no boxing in the hot loop.
-#[derive(Clone, Debug)]
-enum RuntimePolicy {
-    Window(WindowMinPolicy),
-    Greedy(GreedyPolicy),
-    Random(RandomPolicy),
-    Metropolis(MetropolisPolicy),
-}
-
-impl RuntimePolicy {
-    fn build(kind: &PolicyKind, window: usize, offset: usize, seed: u64) -> Self {
-        match kind {
-            PolicyKind::Window => Self::Window(WindowMinPolicy::with_offset(window, offset)),
-            PolicyKind::Greedy => Self::Greedy(GreedyPolicy),
-            PolicyKind::Random => Self::Random(RandomPolicy::new(seed)),
-            PolicyKind::Metropolis {
-                temperature,
-                cooling,
-            } => Self::Metropolis(MetropolisPolicy::new(*temperature, *cooling, seed)),
-        }
-    }
-}
-
-/// Enum dispatch of the policy trait, generic over the Δ accumulator
-/// width so one block type drives both the i32 trackers devices run and
-/// the i64 reference trackers of the tests. The window and greedy
-/// variants expose their windows, letting [`local_search`] run the
-/// fused flip+select kernel.
-impl<A: DeltaAcc> SelectionPolicy<A> for RuntimePolicy {
-    fn select(&mut self, deltas: &[A], x: &qubo::BitVec) -> usize {
-        match self {
-            Self::Window(p) => p.select(deltas, x),
-            Self::Greedy(p) => SelectionPolicy::<A>::select(p, deltas, x),
-            Self::Random(p) => SelectionPolicy::<A>::select(p, deltas, x),
-            Self::Metropolis(p) => SelectionPolicy::<A>::select(p, deltas, x),
-        }
-    }
-
-    fn next_window(&mut self, n: usize) -> Option<(usize, usize)> {
-        match self {
-            Self::Window(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Greedy(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Random(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Metropolis(p) => SelectionPolicy::<A>::next_window(p, n),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Self::Window(p) => SelectionPolicy::<A>::reset(p),
-            Self::Greedy(p) => SelectionPolicy::<A>::reset(p),
-            Self::Random(p) => SelectionPolicy::<A>::reset(p),
-            Self::Metropolis(p) => SelectionPolicy::<A>::reset(p),
-        }
-    }
 }
 
 /// Adaptive algorithm switching — the paper's future-work proposal
@@ -150,9 +78,13 @@ pub struct BlockConfig {
     pub window: usize,
     /// Initial window offset (desynchronizes blocks sharing a window).
     pub offset: usize,
-    /// Optional automatic window re-tuning.
+    /// Optional automatic window re-tuning. Kept on the block (devices
+    /// copy [`crate::DeviceConfig::adaptive`] into it) because the
+    /// benchmark harness builds `BlockConfig` literals that name it.
     pub adaptive: Option<AdaptiveConfig>,
-    /// The selection algorithm this block runs.
+    /// The selection algorithm this block runs; always
+    /// [`PolicyKind::Window`]. Kept only because the benchmark harness
+    /// builds `BlockConfig` literals that name it.
     pub policy: PolicyKind,
     /// Flip kernel this block's tracker runs. Devices detect once per
     /// launch ([`FlipKernel::detect`]) and hand every block the same
@@ -185,7 +117,7 @@ pub struct BlockConfig {
 /// [`SearchTracker`].
 pub struct BlockRunner<T: SearchTracker> {
     tracker: T,
-    policy: RuntimePolicy,
+    policy: WindowMinPolicy,
     config: BlockConfig,
     /// Best energy this block has ever reported (adaptive switching
     /// watches this, not the per-iteration best that Step 3 resets).
@@ -231,13 +163,7 @@ impl<T: SearchTracker> BlockRunner<T> {
     /// Wraps an already-initialized tracker; the shared tail of every
     /// public constructor.
     fn from_tracker(tracker: T, config: BlockConfig) -> Self {
-        let seed = config.offset as u64 ^ 0x5851_f42d_4c95_7f2d;
-        let policy = RuntimePolicy::build(
-            &config.policy,
-            config.window,
-            config.offset % tracker.n(),
-            seed,
-        );
+        let policy = WindowMinPolicy::with_offset(config.window, config.offset % tracker.n());
         Self {
             tracker,
             policy,
@@ -254,14 +180,10 @@ impl<T: SearchTracker> BlockRunner<T> {
         &self.tracker
     }
 
-    /// Current window length of the selection policy (`None` for
-    /// non-window policies).
+    /// Current window length of the selection policy.
     #[must_use]
-    pub fn window(&self) -> Option<usize> {
-        match &self.policy {
-            RuntimePolicy::Window(p) => Some(p.window()),
-            _ => None,
-        }
+    pub fn window(&self) -> usize {
+        self.policy.window()
     }
 
     /// Number of automatic window switches performed so far.
@@ -300,8 +222,8 @@ impl<T: SearchTracker> BlockRunner<T> {
         if let Some(injected) = mid_panic {
             std::panic::panic_any(injected);
         }
-        // Fused driver: window/greedy policies collapse each
-        // select-then-flip pair into one Δ-vector traversal.
+        // Fused driver: each select-then-flip pair is one Δ-vector
+        // traversal.
         flips += local_search(&mut self.tracker, &mut self.policy, self.config.local_steps);
         let (bx, be) = self.tracker.best();
         // A block's own record is always well-formed; validation exists
@@ -323,8 +245,7 @@ impl<T: SearchTracker> BlockRunner<T> {
     /// its own all-time best for `patience` iterations, double the
     /// window length (wrapping from n back to 1) — i.e. walk the
     /// temperature ladder automatically instead of keeping the
-    /// statically assigned rung. Applies to window policies only; other
-    /// policy kinds have no ladder to walk and are left unchanged.
+    /// statically assigned rung.
     fn adapt(&mut self, iteration_best: qubo::Energy, mem: &GlobalMem) {
         if iteration_best < self.all_time_best {
             self.all_time_best = iteration_best;
@@ -334,18 +255,12 @@ impl<T: SearchTracker> BlockRunner<T> {
         let Some(cfg) = self.config.adaptive else {
             return;
         };
-        let RuntimePolicy::Window(w) = &self.policy else {
-            return;
-        };
         self.stale += 1;
         if self.stale >= cfg.patience.max(1) {
             let n = self.tracker.n();
-            let next = if w.window() >= n {
-                1
-            } else {
-                (w.window() * 2).min(n)
-            };
-            self.policy = RuntimePolicy::Window(WindowMinPolicy::with_offset(next, w.offset()));
+            let w = self.policy.window();
+            let next = if w >= n { 1 } else { (w * 2).min(n) };
+            self.policy = WindowMinPolicy::with_offset(next, self.policy.offset());
             mem.record_event(Event::window_switch(next as u64));
             self.switches += 1;
             self.stale = 0;
@@ -438,68 +353,16 @@ mod tests {
 
     #[test]
     fn every_policy_kind_runs_and_reports_exact_energies() {
+        // The one kind left is the paper's window policy (`cfg`'s).
         let q = random_qubo(40, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        for kind in [
-            PolicyKind::Window,
-            PolicyKind::Greedy,
-            PolicyKind::Random,
-            PolicyKind::Metropolis {
-                temperature: 1e6,
-                cooling: 0.999,
-            },
-        ] {
-            let mem = GlobalMem::new();
-            let mut c = cfg(8, 80);
-            c.policy = kind.clone();
-            let mut b = BlockRunner::new(&q, c);
-            mem.push_target(BitVec::random(40, &mut rng));
-            b.bulk_iteration(&mem);
-            b.tracker().verify();
-            let rec = &mem.drain_results()[0];
-            assert_eq!(rec.energy, q.energy(&rec.x), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn non_window_policies_report_no_window() {
-        let q = random_qubo(16, 13);
-        let mut c = cfg(4, 10);
-        c.policy = PolicyKind::Greedy;
-        let b = BlockRunner::new(&q, c);
-        assert_eq!(b.window(), None);
-    }
-
-    #[test]
-    fn adaptive_is_a_noop_for_non_window_policies() {
-        let q = Qubo::zero(8).unwrap();
         let mem = GlobalMem::new();
-        let mut c = cfg(4, 4);
-        c.policy = PolicyKind::Greedy;
-        c.adaptive = Some(AdaptiveConfig { patience: 1 });
-        let mut b = BlockRunner::new(&q, c);
-        for _ in 0..6 {
-            b.bulk_iteration(&mem);
-        }
-        assert_eq!(b.switches(), 0);
-    }
-
-    #[test]
-    fn random_policy_blocks_are_seeded_by_offset() {
-        // Two blocks with different offsets take different random walks.
-        let q = random_qubo(32, 14);
-        let mem = GlobalMem::new();
-        let mk = |offset: usize| {
-            let mut c = cfg(4, 50);
-            c.policy = PolicyKind::Random;
-            c.offset = offset;
-            BlockRunner::new(&q, c)
-        };
-        let mut b1 = mk(0);
-        let mut b2 = mk(1);
-        b1.bulk_iteration(&mem);
-        b2.bulk_iteration(&mem);
-        assert_ne!(b1.tracker().x(), b2.tracker().x());
+        let mut b = BlockRunner::new(&q, cfg(8, 80));
+        mem.push_target(BitVec::random(40, &mut rng));
+        b.bulk_iteration(&mem);
+        b.tracker().verify();
+        let rec = &mem.drain_results()[0];
+        assert_eq!(rec.energy, q.energy(&rec.x));
     }
 
     #[test]
@@ -524,20 +387,16 @@ mod tests {
         let mut c = cfg(2, 10);
         c.adaptive = Some(AdaptiveConfig { patience: 2 });
         let mut b = BlockRunner::new(&q, c);
-        assert_eq!(b.window(), Some(2));
+        assert_eq!(b.window(), 2);
         b.bulk_iteration(&mem); // "improves" (first best: MAX → 0)
         b.bulk_iteration(&mem); // stale 1
-        assert_eq!(b.window(), Some(2));
+        assert_eq!(b.window(), 2);
         b.bulk_iteration(&mem); // stale 2 → switch
-        assert_eq!(
-            b.window(),
-            Some(4),
-            "one switch after patience=2 stale rounds"
-        );
+        assert_eq!(b.window(), 4, "one switch after patience=2 stale rounds");
         assert_eq!(b.switches(), 1);
         b.bulk_iteration(&mem);
         b.bulk_iteration(&mem); // second switch
-        assert_eq!(b.window(), Some(8), "ladder keeps climbing");
+        assert_eq!(b.window(), 8, "ladder keeps climbing");
         assert_eq!(b.switches(), 2);
     }
 
@@ -550,7 +409,7 @@ mod tests {
         let mut b = BlockRunner::new(&q, c);
         b.bulk_iteration(&mem); // improvement MAX → 0
         b.bulk_iteration(&mem); // stale → switch
-        assert_eq!(b.window(), Some(1));
+        assert_eq!(b.window(), 1);
     }
 
     #[test]
@@ -561,7 +420,7 @@ mod tests {
         for _ in 0..10 {
             b.bulk_iteration(&mem);
         }
-        assert_eq!(b.window(), Some(4));
+        assert_eq!(b.window(), 4);
         assert_eq!(b.switches(), 0);
     }
 

@@ -45,10 +45,6 @@ pub struct DeviceConfig {
     /// Optional future-work adaptive window switching, applied to every
     /// block (see [`AdaptiveConfig`]).
     pub adaptive: Option<AdaptiveConfig>,
-    /// Selection algorithms cycled across blocks (§5 future work:
-    /// heterogeneous devices). Empty = every block runs the paper's
-    /// window policy.
-    pub policy_mix: Vec<PolicyKind>,
     /// Capacity of the host→device target buffer (overflow evicts the
     /// oldest pending target).
     pub target_capacity: usize,
@@ -74,7 +70,6 @@ impl Default for DeviceConfig {
             local_steps: 256,
             windows: WindowSchedule::PowersOfTwo,
             adaptive: None,
-            policy_mix: Vec::new(),
             target_capacity: DEFAULT_BUFFER_CAPACITY,
             result_capacity: DEFAULT_BUFFER_CAPACITY,
             event_capacity: DEFAULT_EVENT_CAPACITY,
@@ -293,11 +288,7 @@ impl Device {
                                 // blocks that share a window length.
                                 offset: (b * 97) % n,
                                 adaptive: cfg.adaptive,
-                                policy: if cfg.policy_mix.is_empty() {
-                                    PolicyKind::Window
-                                } else {
-                                    cfg.policy_mix[b % cfg.policy_mix.len()].clone()
-                                },
+                                policy: PolicyKind::Window,
                                 kernel,
                             }),
                             block: b,
@@ -306,9 +297,7 @@ impl Device {
                         .collect();
                     mem.add_units(slots.len() as u64);
                     for slot in &slots {
-                        if let Some(w) = slot.runner.window() {
-                            mem.record_event(Event::window_assign(w as u64));
-                        }
+                        mem.record_event(Event::window_assign(slot.runner.window() as u64));
                     }
                     let plan = cfg.fault.as_deref();
                     // Announce this worker to the host's quiesce

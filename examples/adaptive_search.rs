@@ -1,12 +1,12 @@
-//! The paper's future-work ideas (§5), implemented and compared:
-//! heterogeneous per-block algorithms and automatic algorithm switching.
+//! The paper's future-work idea of automatic algorithm switching (§5),
+//! implemented as window re-tuning and compared with the static ladder.
 //!
 //! ```sh
 //! cargo run --release -p abs-examples --example adaptive_search
 //! ```
 
 use abs::{Abs, AbsConfig, StopCondition};
-use vgpu::{AdaptiveConfig, PolicyKind};
+use vgpu::AdaptiveConfig;
 
 fn run(label: &str, mut cfg: AbsConfig, q: &qubo::Qubo) {
     cfg.stop = StopCondition::flips(400_000);
@@ -30,35 +30,15 @@ fn main() {
     //    window policy on a static powers-of-two ladder.
     run("paper: static window ladder", AbsConfig::small(), &q);
 
-    // 2. Future work, part 1: a heterogeneous device — blocks cycle
-    //    through four different algorithms.
-    let mut hetero = AbsConfig::small();
-    hetero.machine.device.policy_mix = vec![
-        PolicyKind::Window,
-        PolicyKind::Greedy,
-        PolicyKind::Random,
-        PolicyKind::Metropolis {
-            temperature: q.energy_bound() as f64 / n as f64,
-            cooling: 0.9999,
-        },
-    ];
-    run("future work: heterogeneous algorithms", hetero, &q);
-
-    // 3. Future work, part 2: blocks re-tune their own window length
+    // 2. Future work: blocks re-tune their own window length
     //    when they stagnate ("changed automatically").
     let mut adaptive = AbsConfig::small();
     adaptive.machine.device.adaptive = Some(AdaptiveConfig { patience: 8 });
     run("future work: adaptive window switching", adaptive, &q);
 
-    // 4. Both at once.
-    let mut both = AbsConfig::small();
-    both.machine.device.policy_mix = vec![PolicyKind::Window, PolicyKind::Greedy];
-    both.machine.device.adaptive = Some(AdaptiveConfig { patience: 8 });
-    run("future work: mixed + adaptive", both, &q);
-
     println!(
-        "\nall four reach similar energies on this easy dense family; the \
-         adaptive variants shine on long runs that stagnate (see the \
+        "\nboth reach similar energies on this easy dense family; the \
+         adaptive variant shines on long runs that stagnate (see the \
          `report ablation` tables for measured sweeps)."
     );
 }

@@ -136,30 +136,6 @@ fn max_independent_set_of_a_path() {
 }
 
 #[test]
-fn heterogeneous_device_solves_problems_too() {
-    // Future-work §5: a device mixing all four block algorithms still
-    // reaches the exact optimum of a small instance.
-    let q = qubo_problems::random::generate(16, 77);
-    let truth = qubo_baselines::exact::solve(&q);
-    let mut cfg = quick_config(truth.best_energy, 30);
-    cfg.machine.device.policy_mix = vec![
-        vgpu::PolicyKind::Window,
-        vgpu::PolicyKind::Greedy,
-        vgpu::PolicyKind::Random,
-        vgpu::PolicyKind::Metropolis {
-            temperature: 1e6,
-            cooling: 0.9999,
-        },
-    ];
-    let r = Abs::new(cfg)
-        .expect("valid config")
-        .solve(&q)
-        .expect("solve");
-    assert!(r.reached_target);
-    assert_eq!(r.best_energy, truth.best_energy);
-}
-
-#[test]
 fn max2sat_satisfiable_instance_is_satisfied() {
     // A chain of implications with a consistent assignment: x0 → x1 →
     // … → x9 plus the unit (x0): all-ones satisfies everything.

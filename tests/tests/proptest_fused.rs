@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use qubo::{BitVec, Qubo};
-use qubo_search::{local_search, window_argmin, DeltaTracker, SelectionPolicy, WindowMinPolicy};
+use qubo_search::{local_search, window_argmin, DeltaTracker, WindowMinPolicy};
 
 /// Strategy: a small random symmetric QUBO with weights spanning the full
 /// i16 range, so Δ values exercise the upper region the narrow
@@ -76,7 +76,7 @@ proptest! {
         let mut tr = DeltaTracker::new(&q);
         let mut pr = WindowMinPolicy::with_offset(window, offset % n);
         for _ in 0..steps {
-            let k = pr.select(tr.deltas(), tr.x());
+            let k = pr.select(tr.deltas());
             tr.flip(k);
         }
 
