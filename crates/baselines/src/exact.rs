@@ -4,10 +4,13 @@
 //! solutions differ by one bit and the incremental Δ update applies:
 //! total cost O(n·2ⁿ) instead of O(n²·2ⁿ). Practical to ~26 bits; used
 //! as ground truth in tests and small benchmarks.
+//!
+//! The walk runs the scalar flip arm on purpose: this oracle pins the
+//! AVX-512 arm end to end, so it must not run on that arm itself.
 
 use crate::BaselineResult;
 use qubo::Qubo;
-use qubo_search::DeltaTracker;
+use qubo_search::{DeltaTracker, FlipKernel};
 
 /// Maximum problem size accepted by [`solve`].
 pub const MAX_EXACT_BITS: usize = 26;
@@ -23,7 +26,7 @@ pub fn solve(q: &Qubo) -> BaselineResult {
         n <= MAX_EXACT_BITS,
         "exact enumeration limited to {MAX_EXACT_BITS} bits (got {n})"
     );
-    let mut t = DeltaTracker::new(q);
+    let mut t = DeltaTracker::with_kernel(q, FlipKernel::Scalar);
     // Standard reflected Gray code: step k flips the position of the
     // lowest set bit of k. 2ⁿ − 1 flips visit every solution once.
     let total: u64 = 1u64 << n;

@@ -114,7 +114,6 @@ pub const HOT_FNS: &[&str] = &[
     "slice_min_first",
     "local_search",
     "straight_search",
-    "add_coupling",
     "select",
     "next_window",
     "flip_update",

@@ -442,6 +442,12 @@ mod tests {
             ParseError::Problem(QuboError::WeightOverflow(_, _))
         ));
         assert!(matches!(parse(text).unwrap_err(), ParseError::Problem(_)));
+        // 131 076 · 32 767 = 2³² − 4: an unchecked i32 fold wraps to a
+        // valid-looking −4 instead of overflowing.
+        let text = format!("p qubo 0 2 2 1\n{}", "0 1 32767\n".repeat(131_076));
+        for err in [parse_sparse(&text).unwrap_err(), parse(&text).unwrap_err()] {
+            assert_eq!(err, ParseError::Problem(QuboError::WeightOverflow(0, 1)));
+        }
     }
 
     #[test]
@@ -516,5 +522,11 @@ mod tests {
             parse_edge_list("3 1\n1 2 -32768\n").unwrap_err(),
             ParseError::BadWeight(2)
         );
+        // Duplicate edges whose i32 fold would wrap back into range.
+        let text = format!("2 131076\n{}", "1 2 32767\n".repeat(131_076));
+        assert!(matches!(
+            parse_edge_list(&text).unwrap_err(),
+            ParseError::Problem(QuboError::WeightOverflow(_, _))
+        ));
     }
 }

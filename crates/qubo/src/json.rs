@@ -431,5 +431,13 @@ mod tests {
             parse_problem(json).unwrap_err(),
             JsonProblemError::Problem(QuboError::WeightOverflow(_, _))
         ));
+        // 131 076 · 32 767 = 2³² − 4: an unchecked i32 fold wraps to a
+        // valid-looking W₀₁ = −4 instead of overflowing.
+        let edges = vec!["[1, 2, 32767]"; 131_076].join(",");
+        let json = format!(r#"{{"format": "edge-list", "n": 2, "edges": [{edges}]}}"#);
+        assert!(matches!(
+            parse_problem(&json).unwrap_err(),
+            JsonProblemError::Problem(QuboError::WeightOverflow(_, _))
+        ));
     }
 }

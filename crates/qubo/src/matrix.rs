@@ -485,6 +485,7 @@ impl ContentSponge {
 ///
 /// Duplicate `(i, j)` entries are summed; accumulation happens in `i32`
 /// and overflow of the final 16-bit weight is reported, never wrapped.
+/// A running fold that leaves `i32` is rejected the same way.
 pub struct QuboBuilder {
     n: usize,
     acc: Vec<i32>,
@@ -514,7 +515,8 @@ impl QuboBuilder {
     /// Adds `v` to `W_ij` (and `W_ji`).
     ///
     /// # Errors
-    /// [`QuboError::IndexOutOfRange`] for a bad index.
+    /// [`QuboError::IndexOutOfRange`] for a bad index;
+    /// [`QuboError::WeightOverflow`] if the running sum leaves `i32`.
     pub fn add(&mut self, i: usize, j: usize, v: i16) -> Result<(), QuboError> {
         if i >= self.n {
             return Err(QuboError::IndexOutOfRange(i));
@@ -522,9 +524,12 @@ impl QuboBuilder {
         if j >= self.n {
             return Err(QuboError::IndexOutOfRange(j));
         }
-        self.acc[i * self.n + j] += i32::from(v);
+        let (v, overflow) = (i32::from(v), || QuboError::WeightOverflow(i, j));
+        let ij = i * self.n + j;
+        self.acc[ij] = self.acc[ij].checked_add(v).ok_or_else(overflow)?;
         if i != j {
-            self.acc[j * self.n + i] += i32::from(v);
+            let ji = j * self.n + i;
+            self.acc[ji] = self.acc[ji].checked_add(v).ok_or_else(overflow)?;
         }
         Ok(())
     }
@@ -648,6 +653,15 @@ mod tests {
             b.build().unwrap_err(),
             QuboError::WeightOverflow(0, 0)
         ));
+        // 131 076 · 32 767 = 2³² − 4: an unchecked i32 fold wraps to a
+        // valid-looking −4 instead of overflowing.
+        for (i, j) in [(0, 1), (1, 1)] {
+            let mut b = QuboBuilder::new(2).unwrap();
+            let first_err = (0..131_076)
+                .map(|_| b.add(i, j, i16::MAX))
+                .find_map(Result::err);
+            assert_eq!(first_err, Some(QuboError::WeightOverflow(i, j)));
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl SparseQubo {
     ///
     /// # Errors
     /// Same domain as [`Qubo`]: size in `1..=MAX_BITS`, indices in
-    /// range, accumulated weights within `i16`.
+    /// range, accumulated weights within `i16`. A running fold that
+    /// leaves `i32` is rejected as [`QuboError::WeightOverflow`].
     pub fn from_triplets(n: usize, triplets: &[(usize, usize, i16)]) -> Result<Self, QuboError> {
         if n == 0 || n > MAX_BITS {
             return Err(QuboError::BadSize(n));
@@ -77,13 +78,19 @@ impl SparseQubo {
             if j >= n {
                 return Err(QuboError::IndexOutOfRange(j));
             }
+            let fold = |acc: &mut i32| -> Result<(), QuboError> {
+                *acc = acc
+                    .checked_add(i32::from(w))
+                    .ok_or(QuboError::WeightOverflow(i, j))?;
+                Ok(())
+            };
             if i == j {
                 // invariant: i < n checked above; diag_acc has length n.
-                diag_acc[i] += i32::from(w);
+                fold(&mut diag_acc[i])?;
             } else {
                 // invariant: i and j both range-checked against n above.
-                *rows[i].entry(j as u32).or_insert(0) += i32::from(w);
-                *rows[j].entry(i as u32).or_insert(0) += i32::from(w);
+                fold(rows[i].entry(j as u32).or_insert(0))?;
+                fold(rows[j].entry(i as u32).or_insert(0))?;
             }
         }
         let mut row_start = Vec::with_capacity(n + 1);

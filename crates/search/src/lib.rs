@@ -19,11 +19,11 @@
 //! * [`naive`] — instrumented reference implementations of Algorithms
 //!   1–3, used to reproduce the search-efficiency analysis
 //!   (Lemmas 1–3) experimentally.
-//! * [`acc`] — Δ accumulator widths. The flip kernel is generic over
-//!   [`DeltaAcc`] (`i32`/`i64`): when [`qubo::Qubo::delta_bound`] fits 32
-//!   bits the narrow width halves the hot loop's memory traffic. Use
-//!   [`DeltaTracker::fits`] to pick, [`DeltaTracker::with_width`] to
-//!   build.
+//!
+//! Δ entries are `i32` everywhere, as in the paper's one-register-per-Δ
+//! kernel: the compile-time assert next to [`qubo::MAX_BITS`] proves
+//! that every constructible problem's [`qubo::Qubo::delta_bound`] fits.
+//! Energies stay `i64`.
 //!
 //! The flip hot path is *fused* (one Δ-vector traversal per flip): the
 //! Eq. (16) update, the Theorem 1 best-neighbour min, and — through
@@ -31,14 +31,14 @@
 //! the same pass. [`local_search`] always runs the fused path, fed by
 //! [`WindowMinPolicy::next_window`].
 //!
-//! On top of the fusion sits an AVX-512 tier ([`simd`]): for `i32`
-//! accumulators on a CPU with `avx512f`, the fused pass runs in 16-lane
-//! vectors over the padded row layout of [`qubo::Qubo`], picked by
-//! runtime feature detection ([`FlipKernel::detect`]). Everywhere else
+//! On top of the fusion sits an AVX-512 tier ([`simd`]): on a CPU with
+//! `avx512f`, the fused pass runs in 16-lane vectors over the padded row
+//! layout of [`qubo::Qubo`], picked by runtime feature detection
+//! ([`FlipKernel::detect`]). Everywhere else
 //! the scalar fused path runs; it is the portable, bit-identical
 //! reference. `ABS_FORCE_SCALAR=1` forces the scalar arm process-wide.
 //!
-//! Orthogonal to the accumulator width sits the *storage* axis
+//! Orthogonal to the flip kernel sits the *storage* axis
 //! (`qubo::MatrixStorage`): [`SparseDeltaTracker`] is the CSR arm with
 //! O(degree) flips and bucketed window selection, bit-identical in
 //! trajectories and best records to [`DeltaTracker`]. The
@@ -77,7 +77,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acc;
 pub mod local;
 pub mod naive;
 pub mod policy;
@@ -86,7 +85,6 @@ pub mod sparse;
 pub mod straight;
 pub mod tracker;
 
-pub use acc::DeltaAcc;
 pub use local::local_search;
 pub use policy::{window_argmin, WindowMinPolicy};
 pub use simd::FlipKernel;

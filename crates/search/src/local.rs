@@ -51,7 +51,7 @@ pub fn local_search<T: SearchTracker + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acc::DeltaAcc;
+    use crate::simd::FlipKernel;
     use crate::tracker::DeltaTracker;
     use qubo::{BitVec, Qubo};
     use rand::rngs::StdRng;
@@ -127,8 +127,8 @@ mod tests {
 
     /// The seed-era driver, kept as the reference for trajectory
     /// equivalence: select with the policy, then flip.
-    fn reference_local_search<A: DeltaAcc>(
-        tracker: &mut DeltaTracker<'_, A>,
+    fn reference_local_search(
+        tracker: &mut DeltaTracker<'_>,
         policy: &mut WindowMinPolicy,
         steps: usize,
     ) {
@@ -175,16 +175,19 @@ mod tests {
 
     #[test]
     fn narrow_tracker_follows_the_same_trajectory() {
+        // The detected kernel arm follows the scalar reference arm's
+        // trajectory, and both stay exact against verify().
         let q = random_qubo(40, 40);
-        let mut wide = DeltaTracker::new(&q);
-        let mut narrow = DeltaTracker::<'_, i32>::with_width(&q);
-        let mut pw = WindowMinPolicy::new(6);
-        let mut pn = WindowMinPolicy::new(6);
-        local_search(&mut wide, &mut pw, 500);
-        local_search(&mut narrow, &mut pn, 500);
-        assert_eq!(wide.x(), narrow.x());
-        assert_eq!(wide.energy(), narrow.energy());
-        assert_eq!(wide.best().1, narrow.best().1);
-        narrow.verify();
+        let mut detected = DeltaTracker::new(&q);
+        let mut scalar = DeltaTracker::with_kernel(&q, FlipKernel::Scalar);
+        let mut pd = WindowMinPolicy::new(6);
+        let mut ps = WindowMinPolicy::new(6);
+        local_search(&mut detected, &mut pd, 500);
+        local_search(&mut scalar, &mut ps, 500);
+        assert_eq!(detected.x(), scalar.x());
+        assert_eq!(detected.energy(), scalar.energy());
+        assert_eq!(detected.best(), scalar.best());
+        detected.verify();
+        scalar.verify();
     }
 }

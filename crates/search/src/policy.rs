@@ -14,8 +14,6 @@
 //! ([`crate::DeltaTracker::flip_select`]) so each local-search step
 //! traverses the Δ vector exactly once.
 
-use crate::acc::DeltaAcc;
-
 /// Index of the minimum value inside the circular window of length `len`
 /// starting at `start`, over `deltas` of length `n`.
 ///
@@ -32,18 +30,18 @@ use crate::acc::DeltaAcc;
 /// # Panics
 /// Panics if `deltas` is empty or `start >= n`.
 #[must_use]
-pub fn window_argmin<A: DeltaAcc>(deltas: &[A], start: usize, len: usize) -> usize {
+pub fn window_argmin(deltas: &[i32], start: usize, len: usize) -> usize {
     window_argmin_by(deltas, start, len, slice_min_first)
 }
 
 /// [`window_argmin`] with the first-occurrence slice scan supplied by
 /// the caller: the AVX-512 arm ([`crate::simd`]) plugs in its AVX2
 /// scan and shares this window split and tie-break.
-pub(crate) fn window_argmin_by<A: DeltaAcc>(
-    deltas: &[A],
+pub(crate) fn window_argmin_by(
+    deltas: &[i32],
     start: usize,
     len: usize,
-    min_first: impl Fn(&[A]) -> (usize, A),
+    min_first: impl Fn(&[i32]) -> (usize, i32),
 ) -> usize {
     let n = deltas.len();
     assert!(start < n, "window start {start} out of range {n}");
@@ -67,7 +65,7 @@ pub(crate) fn window_argmin_by<A: DeltaAcc>(
 /// reduction, then one equality scan to locate the index (the reduction
 /// auto-vectorizes; the locate pass is rarely the bottleneck at window
 /// sizes).
-fn slice_min_first<A: DeltaAcc>(s: &[A]) -> (usize, A) {
+fn slice_min_first(s: &[i32]) -> (usize, i32) {
     // invariant: callers pass non-empty slices (window_argmin clamps
     // len to [1, n]), so s[0] and s[1..] are in bounds.
     let mut min_v = s[0];
@@ -134,7 +132,7 @@ impl WindowMinPolicy {
     /// Selects the bit to flip: the min-Δ index of the current window,
     /// advancing the offset past it. Always returns *some* index: the
     /// forced flip keeps the search rate constant even near local minima.
-    pub fn select<A: DeltaAcc>(&mut self, deltas: &[A]) -> usize {
+    pub fn select(&mut self, deltas: &[i32]) -> usize {
         let (a, l) = self.next_window(deltas.len());
         window_argmin(deltas, a, l)
     }
@@ -162,7 +160,7 @@ mod tests {
     /// flipped and the offset advances to 8.
     #[test]
     fn paper_fig2() {
-        let mut deltas = vec![100i64; 16];
+        let mut deltas = vec![100i32; 16];
         deltas[4] = 7;
         deltas[5] = -3;
         deltas[6] = 2;
@@ -175,7 +173,7 @@ mod tests {
 
     #[test]
     fn window_wraps_around() {
-        let mut deltas = vec![10i64; 8];
+        let mut deltas = vec![10i32; 8];
         deltas[1] = -5; // inside the wrapped window [6, 7, 0, 1]
         let mut p = WindowMinPolicy::with_offset(4, 6);
         assert_eq!(p.select(&deltas), 1);
@@ -185,7 +183,7 @@ mod tests {
     #[test]
     fn window_covers_all_bits_over_a_sweep() {
         // With ℓ | n, n/ℓ selections visit n/ℓ disjoint windows.
-        let deltas = vec![0i64; 12];
+        let deltas = vec![0i32; 12];
         let mut p = WindowMinPolicy::new(3);
         let mut offsets = Vec::new();
         for _ in 0..4 {
@@ -198,7 +196,7 @@ mod tests {
 
     #[test]
     fn window_one_is_a_plain_sweep() {
-        let deltas = vec![5i64; 4];
+        let deltas = vec![5i32; 4];
         let mut p = WindowMinPolicy::new(1);
         let picks: Vec<usize> = (0..6).map(|_| p.select(&deltas)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1]);
@@ -206,7 +204,7 @@ mod tests {
 
     #[test]
     fn window_larger_than_n_acts_greedy() {
-        let mut deltas = vec![9i64; 5];
+        let mut deltas = vec![9i32; 5];
         deltas[3] = -1;
         let mut p = WindowMinPolicy::new(100);
         assert_eq!(p.select(&deltas), 3);
@@ -215,21 +213,21 @@ mod tests {
     #[test]
     fn greedy_finds_global_min() {
         // ℓ = n is the greedy extreme of the temperature ladder.
-        let deltas = vec![4i64, -2, 7, -9, 0];
+        let deltas = vec![4i32, -2, 7, -9, 0];
         let mut p = WindowMinPolicy::new(5);
         assert_eq!(p.select(&deltas), 3);
     }
 
     #[test]
     fn greedy_ties_break_to_lowest_index() {
-        let deltas = vec![1i64, -2, -2];
+        let deltas = vec![1i32, -2, -2];
         let mut p = WindowMinPolicy::new(3);
         assert_eq!(p.select(&deltas), 1);
     }
 
     #[test]
     fn reset_rewinds_window_offset() {
-        let deltas = vec![0i64; 6];
+        let deltas = vec![0i32; 6];
         let mut p = WindowMinPolicy::new(2);
         p.select(&deltas);
         assert_eq!(p.offset(), 2);
@@ -239,7 +237,7 @@ mod tests {
 
     #[test]
     fn window_argmin_matches_modular_reference() {
-        fn reference(d: &[i64], a: usize, l: usize) -> usize {
+        fn reference(d: &[i32], a: usize, l: usize) -> usize {
             let n = d.len();
             let l = l.min(n);
             let mut best_i = a;
@@ -265,7 +263,7 @@ mod tests {
         };
         for n in [1usize, 2, 3, 7, 16, 33] {
             for _ in 0..200 {
-                let d: Vec<i64> = (0..n).map(|_| draw(8) as i64 - 4).collect();
+                let d: Vec<i32> = (0..n).map(|_| draw(8) as i32 - 4).collect();
                 let a = draw(n);
                 let l = 1 + draw(n + 2); // over-length clamps
                 assert_eq!(
@@ -281,16 +279,16 @@ mod tests {
     fn window_argmin_ties_break_in_scan_order() {
         // Window [3, 0, 1] with a tie between wrapped index 0 and
         // in-slice index 3: the earlier scan position (3) must win.
-        let d = vec![-7i64, 5, 5, -7];
+        let d = vec![-7i32, 5, 5, -7];
         assert_eq!(window_argmin(&d, 3, 3), 3);
         // But a strictly smaller wrapped value wins.
-        let d = vec![-9i64, 5, 5, -7];
+        let d = vec![-9i32, 5, 5, -7];
         assert_eq!(window_argmin(&d, 3, 3), 0);
     }
 
     #[test]
     fn next_window_replaces_select_exactly() {
-        let deltas = vec![3i64, -1, 4, -1, 5, 9, -2, 6];
+        let deltas = vec![3i32, -1, 4, -1, 5, 9, -2, 6];
         let mut by_select = WindowMinPolicy::with_offset(3, 5);
         let mut by_window = by_select.clone();
         for _ in 0..20 {
@@ -303,7 +301,7 @@ mod tests {
 
     #[test]
     fn greedy_window_is_the_full_vector() {
-        let deltas = vec![4i64, -2, 7, -9, 0];
+        let deltas = vec![4i32, -2, 7, -9, 0];
         let mut by_window = WindowMinPolicy::new(5);
         let mut by_select = by_window.clone();
         let (a, l) = by_window.next_window(5);
@@ -313,12 +311,22 @@ mod tests {
 
     #[test]
     fn policies_are_width_oblivious() {
-        let wide = vec![9i64, -3, 5, 0];
-        let narrow: Vec<i32> = wide.iter().map(|&v| v as i32).collect();
-        let mut pw = WindowMinPolicy::new(3);
-        let mut pn = WindowMinPolicy::new(3);
-        for _ in 0..8 {
-            assert_eq!(pw.select(&wide), pn.select(&narrow), "widths diverged");
+        // Δ values at both ends of the i32 range: every choice equals the
+        // modular scan over the values widened to i64, so the narrow Δ
+        // width cannot change which bit a window flips.
+        let narrow = vec![i32::MAX, i32::MIN, 5, i32::MIN + 1, 0, -3, i32::MIN];
+        let wide: Vec<i64> = narrow.iter().map(|&v| i64::from(v)).collect();
+        let mut p = WindowMinPolicy::new(3);
+        for step in 0..10 {
+            let a = p.offset();
+            let mut want = a;
+            for off in 1..3 {
+                let i = (a + off) % wide.len();
+                if wide[i] < wide[want] {
+                    want = i;
+                }
+            }
+            assert_eq!(p.select(&narrow), want, "step {step}");
         }
     }
 }

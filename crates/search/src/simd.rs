@@ -6,8 +6,8 @@
 //! [`FlipKernel::detect`] (the paper's per-kernel-launch choice, §3.2):
 //!
 //! * [`FlipKernel::Scalar`] — the scalar fused path of
-//!   [`crate::DeltaTracker`] (the `fused_i32`/`fused_i64` kernel): the
-//!   portable arm and the reference. The compiler autovectorizes its
+//!   [`crate::DeltaTracker`] (the `fused_i32` kernel): the portable arm
+//!   and the reference. The compiler autovectorizes its
 //!   add-min loops for whatever the build targets.
 //! * [`FlipKernel::Avx512`] — this module's kernels:
 //!   - `flip_update`: the Δ-update and best-neighbour min, 16 lanes per
@@ -46,8 +46,7 @@ use std::sync::OnceLock;
 /// Eq. (16) update and the window argmin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlipKernel {
-    /// The scalar fused path (`fused_i32`/`fused_i64`): portable
-    /// reference, and the only arm for `i64` accumulators.
+    /// The scalar fused path (`fused_i32`): the portable reference.
     Scalar,
     /// `#[target_feature(enable = "avx512f")]` specialization: the
     /// packed `x ⊕ x_k` bits are used *directly* as a `__mmask16` for
@@ -382,13 +381,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         for n in [1usize, 5, 8, 17, 64, 100] {
             let d: Vec<i32> = (0..n).map(|_| rng.gen_range(-50..50)).collect();
-            let wide: Vec<i64> = d.iter().map(|&v| i64::from(v)).collect();
             for _ in 0..40 {
                 let start = rng.gen_range(0..n);
                 let len = rng.gen_range(1..=n + 2);
                 assert_eq!(
                     window_argmin(&d, start, len),
-                    crate::window_argmin(&wide, start, len),
+                    crate::window_argmin(&d, start, len),
                     "n={n} start={start} len={len}"
                 );
             }

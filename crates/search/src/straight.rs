@@ -32,9 +32,7 @@ const DIFF_WORDS: usize = MAX_BITS / 64;
 /// equal to the popcount Hamming distance (§3.1: a straight search
 /// costs exactly `hamming(C, T)` flips).
 ///
-/// Generic over [`SearchTracker`] (and thereby over both storage arms
-/// and either Δ accumulator width); the walk is width-oblivious because
-/// only comparisons of in-bound Δ values are involved.
+/// Generic over [`SearchTracker`], and thereby over both storage arms.
 ///
 /// # Panics
 /// Panics if `target.len()` differs from the tracker's problem size.
@@ -52,7 +50,12 @@ pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitV
     loop {
         // Greedily select the differing bit with minimum Δ: walk the
         // packed diff words via trailing_zeros (one step per set bit).
-        let mut best: Option<(usize, T::Acc)> = None;
+        // Every real Δ is strictly below the `i32::MAX` sentinel (the
+        // compile-time bound next to `qubo::MAX_BITS`), so the first
+        // differing bit always replaces it and the strict `<` keeps the
+        // first minimum; the plain compare compiles to a branch-free
+        // select in the per-bit loop.
+        let (mut k, mut best_d) = (usize::MAX, i32::MAX);
         // invariant: nw <= DIFF_WORDS, returned by diff_words_into.
         for (wi, &word) in diff[..nw].iter().enumerate() {
             let mut w = word;
@@ -62,20 +65,18 @@ pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitV
                 // invariant: diff bits come from words of length-n vectors,
                 // so i < n = deltas().len().
                 let d = tracker.deltas()[i];
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
+                if d < best_d {
+                    (k, best_d) = (i, d);
                 }
             }
         }
-        match best {
-            None => break, // X = T
-            Some((k, _)) => {
-                tracker.flip(k);
-                // invariant: k < n <= 64 * nw, so k / 64 < nw.
-                diff[k / 64] &= !(1u64 << (k % 64));
-                flips += 1;
-            }
+        if k == usize::MAX {
+            break; // X = T
         }
+        tracker.flip(k);
+        // invariant: k < n <= 64 * nw, so k / 64 < nw.
+        diff[k / 64] &= !(1u64 << (k % 64));
+        flips += 1;
     }
     assert_eq!(
         flips, expected,

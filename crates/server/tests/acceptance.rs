@@ -461,27 +461,45 @@ fn sigterm_drains_and_resume_preserves_accounting() {
 fn metrics_endpoint_serves_live_valid_prometheus() {
     let server = Server::spawn(&[]);
     let q = qubo_problems::random::generate(32, 8);
+    // The job outlives the polling deadline below, so the scrape that
+    // first shows the solver families is a mid-solve scrape.
     let body = format!(
-        "{{\"problem\": {}, \"config\": {{\"timeout_ms\": 2000}}}}",
+        "{{\"problem\": {}, \"config\": {{\"timeout_ms\": 60000}}}}",
         dense_problem_json(&q)
     );
     let (status, _) = http(server.port, "POST", "/jobs", Some(&body));
     assert_eq!(status, 201);
     wait_state(server.port, 1, &["running"], Duration::from_secs(10));
-    // Give the worker an event stride to publish a live snapshot.
-    std::thread::sleep(Duration::from_millis(300));
 
-    let (status, text) = http(server.port, "GET", "/metrics", None);
-    assert_eq!(status, 200);
+    // Wait for the event this test asserts: a live solver family in the
+    // exposition, under a generous deadline.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let text = loop {
+        let (status, text) = http(server.port, "GET", "/metrics", None);
+        assert_eq!(status, 200);
+        if text.contains("abs_flips_total") {
+            break text;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "live solver families must be exposed mid-solve: {text}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
     let samples = abs_telemetry::expose::parse_prometheus(&text)
         .unwrap_or_else(|e| panic!("/metrics must parse: {e}\n{text}"));
     assert!(samples > 0);
     assert!(text.contains("abs_server_jobs_submitted_total 1"), "{text}");
     assert!(
-        text.contains("abs_flips_total"),
-        "live solver families must be exposed mid-solve"
+        text.contains("abs_server_jobs_running 1"),
+        "the scrape must be taken while the job runs: {text}"
     );
-    wait_state(server.port, 1, &["done"], Duration::from_secs(20));
+    let (status, _) = http(server.port, "DELETE", "/jobs/1", None);
+    assert_eq!(
+        status, 202,
+        "the job must still be running after the scrape"
+    );
+    wait_state(server.port, 1, &["cancelled"], Duration::from_secs(10));
 }
 
 #[test]

@@ -19,7 +19,7 @@ use crate::occupancy::{full_occupancy_configs, occupancy, OccupancyError};
 use crate::spec::DeviceSpec;
 use abs_telemetry::Event;
 use qubo::{BitVec, MatrixStorage, Qubo, SparseQubo};
-use qubo_search::{DeltaTracker, FlipKernel, SearchTracker};
+use qubo_search::{FlipKernel, SearchTracker};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -212,10 +212,9 @@ impl Device {
     /// density ([`MatrixStorage::select`], pinnable via
     /// `ABS_FORCE_DENSE` / `ABS_FORCE_SPARSE`): sparse instances are
     /// converted to CSR and every block runs the O(degree) flip tier.
-    /// On the dense arm blocks use narrow `i32` Δ accumulators: every
-    /// constructible problem's Δ bound fits them ([`qubo::MAX_BITS`]
-    /// pins that at compile time, and the tracker constructor asserts
-    /// it). The flip kernel is detected once per run
+    /// Both arms keep `i32` Δ entries: every constructible problem's Δ
+    /// bound fits them ([`qubo::MAX_BITS`] pins that at compile time).
+    /// The flip kernel is detected once per run
     /// ([`FlipKernel::detect`]) and shared by every block. Both choices
     /// are published in global memory
     /// ([`GlobalMem::matrix_storage_name`],
@@ -226,7 +225,7 @@ impl Device {
             MatrixStorage::Sparse => {
                 let sq = SparseQubo::from_dense(qubo);
                 self.mem.set_matrix_storage(MatrixStorage::Sparse);
-                // The CSR arm is scalar i64-only (its hot loop is an
+                // The CSR arm is scalar only (its hot loop is an
                 // irregular gather, not a lane-parallel row stream):
                 // record the truth in the kernel slot too.
                 self.mem.set_flip_kernel(FlipKernel::Scalar);
@@ -238,9 +237,7 @@ impl Device {
                 self.mem.set_matrix_storage(MatrixStorage::Dense);
                 let kernel = FlipKernel::detect();
                 self.mem.set_flip_kernel(kernel);
-                self.run_blocks(qubo.n(), kernel, |c| {
-                    BlockRunner::<DeltaTracker<'_, i32>>::with_width(qubo, c)
-                });
+                self.run_blocks(qubo.n(), kernel, |c| BlockRunner::with_width(qubo, c));
             }
         }
         if !self.mem.stopped() {
